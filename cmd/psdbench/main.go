@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,6 +28,12 @@ import (
 	"repro/internal/fault"
 )
 
+// Default effort: the paper tables and their goldens use these.
+const (
+	defaultRounds = 300
+	defaultMB     = 16
+)
+
 func main() {
 	table := flag.Int("table", 0, "reproduce one table (2, 3, or 4)")
 	config := flag.String("config", "", "measure a single named configuration (see -list)")
@@ -34,8 +41,8 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run receive-buffer sweeps")
 	ablations := flag.Bool("ablations", false, "run design-choice ablations")
 	all := flag.Bool("all", false, "run everything")
-	rounds := flag.Int("rounds", 300, "round trips per latency cell")
-	mb := flag.Int("mb", 16, "ttcp transfer size in MB")
+	rounds := flag.Int("rounds", defaultRounds, "round trips per latency cell")
+	mb := flag.Int("mb", defaultMB, "ttcp transfer size in MB")
 	loss := flag.Float64("loss", 0, "frame drop probability on every link")
 	dup := flag.Float64("dup", 0, "frame duplication probability")
 	corrupt := flag.Float64("corrupt", 0, "single-bit corruption probability")
@@ -152,21 +159,11 @@ func main() {
 		fmt.Println(bench.FormatTable2("Configuration: "+cfg.Name, []bench.Table2Row{row}))
 	}
 
-	if *all || *table == 2 {
-		ran = true
-		rows := bench.RunTable2(opt)
-		fmt.Println(bench.FormatTable2(
-			"Table 2: TCP throughput and TCP/UDP round-trip latency", rows))
-	}
-	if *all || *table == 3 {
-		ran = true
-		rows := bench.RunTable3(opt)
-		fmt.Println(bench.FormatTable2(
-			"Table 3: the modified socket interface (NEWAPI)", rows))
-	}
-	if *all || *table == 4 {
-		ran = true
-		runTable4(opt)
+	for _, n := range []int{2, 3, 4} {
+		if *all || *table == n {
+			ran = true
+			writeTable(os.Stdout, n, opt)
+		}
 	}
 	if *all || *sweep {
 		ran = true
@@ -365,23 +362,33 @@ func runProxy(path, label string, totalBytes int) error {
 	return nil
 }
 
-func runTable4(opt Options) {
-	decs := bench.DECConfigs()
-	styles := []bench.SysConfig{decs[5], decs[0], decs[2]} // Library, Kernel, Server
-
-	var tcpCells, udpCells []bench.Breakdown
-	for _, cfg := range styles {
-		for _, size := range []int{1, 1460} {
-			tcpCells = append(tcpCells, bench.RunBreakdown(cfg, true, size, opt.LatRounds))
+// writeTable renders paper table n (2, 3, or 4) to w; the goldens
+// under testdata hold the default-effort output.
+func writeTable(w io.Writer, n int, opt Options) {
+	switch n {
+	case 2:
+		fmt.Fprintln(w, bench.FormatTable2(
+			"Table 2: TCP throughput and TCP/UDP round-trip latency", bench.RunTable2(opt)))
+	case 3:
+		fmt.Fprintln(w, bench.FormatTable2(
+			"Table 3: the modified socket interface (NEWAPI)", bench.RunTable3(opt)))
+	case 4:
+		decs := bench.DECConfigs()
+		styles := []bench.SysConfig{decs[5], decs[0], decs[2]} // Library, Kernel, Server
+		var tcpCells, udpCells []bench.Breakdown
+		for _, cfg := range styles {
+			for _, size := range []int{1, 1460} {
+				tcpCells = append(tcpCells, bench.RunBreakdown(cfg, true, size, opt.LatRounds))
+			}
 		}
-	}
-	for _, cfg := range styles {
-		for _, size := range []int{1, 1472} {
-			udpCells = append(udpCells, bench.RunBreakdown(cfg, false, size, opt.LatRounds))
+		for _, cfg := range styles {
+			for _, size := range []int{1, 1472} {
+				udpCells = append(udpCells, bench.RunBreakdown(cfg, false, size, opt.LatRounds))
+			}
 		}
+		fmt.Fprintln(w, bench.FormatTable4("Table 4 (TCP): per-layer latency, µs per one-way message", tcpCells))
+		fmt.Fprintln(w, bench.FormatTable4("Table 4 (UDP): per-layer latency, µs per one-way message", udpCells))
 	}
-	fmt.Println(bench.FormatTable4("Table 4 (TCP): per-layer latency, µs per one-way message", tcpCells))
-	fmt.Println(bench.FormatTable4("Table 4 (UDP): per-layer latency, µs per one-way message", udpCells))
 }
 
 // Options aliases bench.Options for the local helper signature.

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/slo"
 	"repro/psd"
 )
 
@@ -143,8 +144,9 @@ func runScalePoint(seed int64, archName string, hosts, shards int, single bool) 
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: %w", hosts, shards, err)
 	}
-	if err := rep.Check(); err != nil {
-		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: %w", hosts, shards, err)
+	if !rep.Passed {
+		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: conservation laws failed:\n%s",
+			hosts, shards, slo.Report(slo.Failures(rep.SLO)))
 	}
 	// Virtual time is identical across scheduler shapes for a given
 	// workload (that is the determinism guarantee); real time is the

@@ -252,16 +252,3 @@ func (w *World) Observe(fn func(comp costs.Component, d time.Duration)) {
 type meterFunc func(comp costs.Component, d time.Duration)
 
 func (f meterFunc) Account(comp costs.Component, d time.Duration) { f(comp, d) }
-
-// stackOutA/B expose TCP segment counters for harness diagnostics.
-func stackOutA(w *World) int { return hostTCPOut(w, true) }
-func stackOutB(w *World) int { return hostTCPOut(w, false) }
-
-func hostTCPOut(w *World, a bool) int {
-	h := w.hostA
-	if !a {
-		h = w.hostB
-	}
-	// Count frames transmitted by the host NIC as a proxy for segments.
-	return int(h.NIC.TxFrames.Value())
-}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/kern"
+	"repro/internal/slo"
 	"repro/internal/wire"
 	"repro/psd"
 )
@@ -152,16 +153,16 @@ func runDataplaneChurn(f psd.ArchFlavor) (DataplaneCell, error) {
 	if err != nil {
 		return cell, err
 	}
-	if err := rep.Check(); err != nil {
-		return cell, err
+	if !rep.Passed {
+		return cell, fmt.Errorf("lb laws failed:\n%s", slo.Report(slo.Failures(rep.SLO)))
 	}
 	cell.Conns = int64(rep.ConnsPlan)
 	cell.Served = rep.Served
 	cell.Failed = rep.Failed
 	cell.Rehomed = rep.Rehomed
 	cell.Resets = rep.Resets
-	cell.FlowsLeft = rep.FlowsLeft
-	cell.SNATLeft = rep.SNATLeft
+	cell.FlowsLeft = rep.Snapshot.Sum(".dataplane.ct.flows")
+	cell.SNATLeft = rep.Snapshot.Sum(".dataplane.lb.snat_in_use")
 	return cell, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/slo"
 	"repro/internal/socketapi"
 	"repro/psd"
 )
@@ -292,13 +293,8 @@ func runOffloadChurn(f psd.ArchFlavor) (OffloadCell, error) {
 	if err != nil {
 		return cell, err
 	}
-	// The conservation laws read the decomposed OS server's session
-	// accounting; the in-kernel and server baselines don't expose it
-	// (no ".core" scope), so only check where the counters exist.
-	if rep.ConnSetups > 0 {
-		if err := rep.Check(); err != nil {
-			return cell, err
-		}
+	if !rep.Passed {
+		return cell, fmt.Errorf("churn laws failed:\n%s", slo.Report(slo.Failures(rep.SLO)))
 	}
 	snap := rep.Snapshot
 	cell.Conns = int64(rep.ConnsPlan)

@@ -22,12 +22,6 @@ type Options struct {
 	TotalBytes int // ttcp transfer size
 }
 
-// DefaultOptions mirrors the paper closely enough for stable numbers
-// while keeping runs quick.
-func DefaultOptions() Options {
-	return Options{LatRounds: 300, TotalBytes: ttcpTotalBytes}
-}
-
 // QuickOptions is for tests.
 func QuickOptions() Options {
 	return Options{LatRounds: 50, TotalBytes: 2 << 20}

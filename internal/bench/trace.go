@@ -37,12 +37,6 @@ func EnableTrace(limit int, layers ...trace.Layer) {
 	traceCfg.limit = limit
 }
 
-// DisableTrace switches recording back off (tests).
-func DisableTrace() {
-	traceCfg.enabled = false
-	traceCfg.slowLabel, traceCfg.slowElapsed, traceCfg.slowRec = "", 0, nil
-}
-
 // attachTrace wires a recorder into a freshly built world when capture
 // is enabled (called from Build).
 func attachTrace(w *World) {

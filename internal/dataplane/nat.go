@@ -43,12 +43,14 @@ func parseFrame(frame []byte) (p parsed, ok bool) {
 	}
 	p.proto = ip[9]
 	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
-	if totalLen > len(frame)-ipAt {
+	if totalLen < wire.IPv4HeaderLen || totalLen > len(frame)-ipAt {
 		return p, false
 	}
 	copy(p.t.Src[:], ip[12:16])
 	copy(p.t.Dst[:], ip[16:20])
-	tp := ip[wire.IPv4HeaderLen:]
+	// The transport header and payload end where the datagram does, not
+	// where the frame does (Ethernet pads short frames).
+	tp := ip[wire.IPv4HeaderLen:totalLen]
 	switch p.proto {
 	case wire.ProtoTCP:
 		if len(tp) < wire.TCPHeaderLen {
@@ -60,14 +62,29 @@ func parseFrame(frame []byte) (p parsed, ok bool) {
 		p.ack = binary.BigEndian.Uint32(tp[8:12])
 		p.flags = tp[13]
 		hl := int(tp[12]>>4) * 4
-		if hl < wire.TCPHeaderLen || hl > totalLen-wire.IPv4HeaderLen {
+		if hl < wire.TCPHeaderLen || hl > len(tp) {
 			return p, false
 		}
-		p.payLen = totalLen - wire.IPv4HeaderLen - hl
+		// Options are rare (SYNs carry MSS); the stack's parser vets
+		// them, so a segment every stack would drop never enters the
+		// tables.
+		if hl > wire.TCPHeaderLen {
+			if _, _, err := wire.UnmarshalTCP(tp[:hl]); err != nil {
+				return p, false
+			}
+		}
+		p.payLen = len(tp) - hl
 	case wire.ProtoUDP:
+		if len(tp) < wire.UDPHeaderLen {
+			return p, false
+		}
 		p.t.SrcPort = binary.BigEndian.Uint16(tp[0:2])
 		p.t.DstPort = binary.BigEndian.Uint16(tp[2:4])
-		p.payLen = totalLen - wire.IPv4HeaderLen - wire.UDPHeaderLen
+		ulen := int(binary.BigEndian.Uint16(tp[4:6]))
+		if ulen < wire.UDPHeaderLen || ulen > len(tp) {
+			return p, false
+		}
+		p.payLen = ulen - wire.UDPHeaderLen
 	default:
 		return p, false
 	}

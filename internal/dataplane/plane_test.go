@@ -549,3 +549,59 @@ func TestSNATExhaustion(t *testing.T) {
 		t.Fatalf("snat=%d failed=%d", h.p.SNATInUse(), h.p.Stats.SNATFailed.Value())
 	}
 }
+
+// withOptions turns a TCP frame's first len(opts) payload bytes into
+// header options by widening the data offset.
+func withOptions(frame, opts []byte) []byte {
+	copy(frame[tpAt+wire.TCPHeaderLen:], opts)
+	frame[tpAt+12] = byte((wire.TCPHeaderLen+len(opts))/4) << 4
+	return frame
+}
+
+// TestParseFrameBounds pins parseFrame's acceptance table. Well-formed
+// TCP and UDP frames parse; a datagram whose IPv4 total length does not
+// cover its transport header is rejected even when the frame is long
+// enough, so NAT never rewrites ports or checksums past the datagram's
+// end; and a segment the stack would drop never enters the tables.
+func TestParseFrameBounds(t *testing.T) {
+	tcp := func() []byte {
+		return tcpFrame(clientMAC, lbMAC, clientIP, vipIP, clPort, vipPort, wire.TCPSyn, 1, 0, make([]byte, 8))
+	}
+	udp := func() []byte {
+		return udpFrame(clientMAC, lbMAC, clientIP, vipIP, clPort, vipPort, []byte("ping"), true)
+	}
+	totalLen := func(f []byte, n int) []byte {
+		binary.BigEndian.PutUint16(f[ipAt+2:], uint16(n))
+		return f
+	}
+	udpLen := func(f []byte, n int) []byte {
+		binary.BigEndian.PutUint16(f[tpAt+4:], uint16(n))
+		return f
+	}
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		ok     bool
+		payLen int
+	}{
+		{"tcp", tcp(), true, 8},
+		{"tcp with MSS option", withOptions(tcp(), []byte{wire.TCPOptMSS, 4, 5, 0xb4, wire.TCPOptNop, wire.TCPOptNop, wire.TCPOptNop, wire.TCPOptEnd}), true, 0},
+		{"tcp malformed option", withOptions(tcp(), []byte{wire.TCPOptMSS, 9, 5, 0xb4}), false, 0},
+		{"tcp total length < 40", totalLen(tcp(), 30), false, 0},
+		{"udp", udp(), true, 4},
+		{"udp total length < 28", totalLen(udp(), 24), false, 0},
+		{"udp total length < 20", totalLen(udp(), 12), false, 0},
+		{"udp length past datagram", udpLen(udp(), 13), false, 0},
+		{"udp length < header", udpLen(udp(), 7), false, 0},
+		{"total length past frame", totalLen(udp(), 200), false, 0},
+	} {
+		p, ok := parseFrame(tc.frame)
+		if ok != tc.ok {
+			t.Errorf("%s: parseFrame ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if ok && p.payLen != tc.payLen {
+			t.Errorf("%s: payload length %d, want %d", tc.name, p.payLen, tc.payLen)
+		}
+	}
+}

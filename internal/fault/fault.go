@@ -75,11 +75,6 @@ func (c *Counters) Add(o Counters) {
 	c.PartDrops += o.PartDrops
 }
 
-// Total returns the number of frames the injector interfered with.
-func (c Counters) Total() int {
-	return c.Dropped + c.Duplicated + c.Corrupted + c.Reordered + c.Delayed + c.DownDrops + c.PartDrops
-}
-
 // Decision is the injector's verdict on one transmitted frame.
 type Decision struct {
 	// Drop loses the frame entirely (random loss or sender link down).

@@ -74,9 +74,6 @@ func (in *Injector) DefaultRates() Rates { return in.defaults }
 // SetLinkRates overrides the rates for one link.
 func (in *Injector) SetLinkRates(name string, r Rates) { in.link(name).rates = &r }
 
-// ClearLinkRates removes a per-link override.
-func (in *Injector) ClearLinkRates(name string) { in.link(name).rates = nil }
-
 // SetDown forces a link down (all its traffic lost, both directions) or
 // back up.
 func (in *Injector) SetDown(name string, down bool) { in.link(name).down = down }

@@ -48,21 +48,9 @@ func (p *Plan) PartitionAt(t, d time.Duration, a, b []string) *Plan {
 	return p
 }
 
-// HealAt schedules healing of every active partition at t.
-func (p *Plan) HealAt(t time.Duration) *Plan {
-	p.Events = append(p.Events, Event{At: t, Verb: "heal"})
-	return p
-}
-
-// DownAt schedules link down at t, back up after d (0 = until UpAt).
+// DownAt schedules link down at t, back up after d (0 = for good).
 func (p *Plan) DownAt(t, d time.Duration, link string) *Plan {
 	p.Events = append(p.Events, Event{At: t, For: d, Verb: "down", Link: link})
-	return p
-}
-
-// UpAt schedules link back up at t.
-func (p *Plan) UpAt(t time.Duration, link string) *Plan {
-	p.Events = append(p.Events, Event{At: t, Verb: "up", Link: link})
 	return p
 }
 

@@ -16,9 +16,8 @@ type Process struct {
 	PID  int
 	Name string
 
-	exited  bool
-	onExit  []func()
-	threads int
+	exited bool
+	onExit []func()
 }
 
 // NewProcess creates a process on the host.
@@ -57,15 +56,6 @@ func (p *Process) Exit() {
 		fn()
 	}
 	p.onExit = nil
-}
-
-// Go spawns a foreground thread in this process.
-func (p *Process) Go(name string, body func(t *sim.Proc)) *sim.Proc {
-	p.threads++
-	return p.Host.Sim.Spawn(p.Name+"."+name, func(t *sim.Proc) {
-		defer func() { p.threads-- }()
-		body(t)
-	})
 }
 
 // GoDaemon spawns a daemon (service) thread in this process.

@@ -237,12 +237,12 @@ func (s Snapshot) Sum(suffix string) int64 {
 	return total
 }
 
-// Get returns the item with the exact name, if present.
+// Get returns the item with the exact name, if present. Items are
+// sorted by name, so the lookup is a binary search.
 func (s Snapshot) Get(name string) (Item, bool) {
-	for _, it := range s.Items {
-		if it.Name == name {
-			return it, true
-		}
+	i := sort.Search(len(s.Items), func(i int) bool { return s.Items[i].Name >= name })
+	if i < len(s.Items) && s.Items[i].Name == name {
+		return s.Items[i], true
 	}
 	return Item{}, false
 }

@@ -160,8 +160,5 @@ func (r *Resource) BusyTime() time.Duration { return r.busyTime }
 // Uses returns the number of grants made.
 func (r *Resource) Uses() int { return r.uses }
 
-// Busy reports whether the resource is currently held.
-func (r *Resource) Busy() bool { return r.busy }
-
 // QueueLen returns the number of waiters in both bands.
 func (r *Resource) QueueLen() int { return r.intrQ.len() + r.taskQ.len() }

@@ -118,9 +118,6 @@ func NewTrunk(s *sim.Sim, prop time.Duration) *Segment {
 	return &Segment{sim: s, byteTime: ByteTime, ptp: true, prop: prop}
 }
 
-// IsTrunk reports whether the segment is a point-to-point trunk.
-func (g *Segment) IsTrunk() bool { return g.ptp }
-
 // Prop returns a trunk's propagation delay (0 for shared segments).
 func (g *Segment) Prop() time.Duration {
 	if !g.ptp {

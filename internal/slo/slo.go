@@ -56,9 +56,9 @@ type Suite struct {
 	Checks []Check
 }
 
-// Add appends a custom check and returns the suite for chaining.
-func (s *Suite) Add(c Check) *Suite {
-	s.Checks = append(s.Checks, c)
+// Add appends checks and returns the suite for chaining.
+func (s *Suite) Add(cs ...Check) *Suite {
+	s.Checks = append(s.Checks, cs...)
 	return s
 }
 

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/costs"
-	"repro/internal/mbuf"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -458,6 +457,3 @@ const (
 	tcpFastInterval = 200 * time.Millisecond
 	tcpSlowInterval = 500 * time.Millisecond
 )
-
-// chainFromBytes adapts a byte slice into an mbuf chain without copying.
-func chainFromBytes(b []byte) *mbuf.Chain { return mbuf.FromBytes(b) }

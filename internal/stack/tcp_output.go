@@ -9,9 +9,6 @@ import (
 	"repro/internal/wire"
 )
 
-// debugRST enables temporary RST tracing.
-var debugRST = false
-
 // DebugSegLens, when non-nil, histograms outgoing data segment lengths
 // (diagnostics).
 var DebugSegLens map[int]int
@@ -255,9 +252,6 @@ func (st *Stack) tcpSendSegment(t *sim.Proc, tp *tcpcb, flags uint8, length int,
 	}
 	if length == 0 && flags&(flagSYN|flagFIN|flagRST) == 0 {
 		st.Stats.TCPPureAcks.Inc()
-		if debugRST {
-			println(st.cfg.Name, "pure ACK: ackNow?", tp.ackNow, "delAck?", tp.delAck, "force?", tp.force, "state", int(tp.state))
-		}
 	}
 
 	// Serialize the header (checksum zero) in front of the payload; the
@@ -311,9 +305,6 @@ func (st *Stack) tcpSendSegment(t *sim.Proc, tp *tcpcb, flags uint8, length int,
 // tcpRespond emits a bare control segment (ACK or RST) that is not
 // associated with queued data (tcp_respond).
 func (st *Stack) tcpRespond(t *sim.Proc, local, remote Addr, seq, ack uint32, flags uint8) {
-	if flags&flagRST != 0 && debugRST {
-		println("RST from", st.cfg.Name, "local", local.Port, "remote", remote.Port, "seq", seq, "ack", ack)
-	}
 	hdr := wire.TCPHeader{
 		SrcPort: local.Port,
 		DstPort: remote.Port,
@@ -330,6 +321,3 @@ func (st *Stack) tcpRespond(t *sim.Proc, local, remote Addr, seq, ack uint32, fl
 	hdr.Marshal(seg.Prepend(hdr.HeaderLen()))
 	st.ipOutput(t, true, wire.ProtoTCP, remote.IP, seg, 0, wire.TCPChecksumOffset)
 }
-
-// SetDebugRST toggles RST tracing (diagnostics).
-func SetDebugRST(v bool) { debugRST = v }

@@ -3,13 +3,17 @@ package psd
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/slo"
 )
 
 // ChurnConfig parameterizes the connection-churn scale workload: many
-// hosts opening and closing thousands of short-lived TCP connections,
-// with a fraction of clients dying without cleanup so the OS servers'
-// orphan-abort machinery runs at scale. Acceptance is expressed
-// entirely in metrics-registry assertions (see ChurnReport.Check).
+// hosts on one flat segment opening and closing thousands of short-
+// lived TCP connections, with a fraction of clients dying without
+// cleanup so the OS servers' orphan-abort machinery runs at scale.
+// Acceptance is the report's Verdict: conservation laws over the
+// metrics registry. RunCity runs the same workload on a districted,
+// shardable topology.
 type ChurnConfig struct {
 	Seed           int64
 	Servers        int // echo-server hosts
@@ -19,19 +23,6 @@ type ChurnConfig struct {
 	MsgBytes       int // payload echoed once per connection
 	Arch           Arch
 	Drain          time.Duration // virtual time after the workload for TIME_WAIT and port quarantines to expire (0 = 75 s)
-
-	// Districts, when positive, splits the hosts evenly across that
-	// many routed districts joined by trunks (the RunCity topology) —
-	// the form that scales past 10^4 hosts, since a single shared
-	// segment is one collision domain and one shard. Servers and
-	// Clients must divide evenly by it. Zero keeps the classic flat
-	// single-segment build, byte-identical to prior releases.
-	Districts int
-
-	// Shards and SingleThreaded forward to Config; they require
-	// Districts > 0 (a flat segment cannot be cut).
-	Shards         int
-	SingleThreaded bool
 }
 
 // DefaultChurn is the scale point the acceptance criteria call for:
@@ -48,76 +39,23 @@ func DefaultChurn(seed int64) ChurnConfig {
 	}
 }
 
-// ChurnReport is the registry-derived outcome of a churn run.
+// ChurnReport is the outcome of a churn run: its size and the verdict
+// of its conservation laws over the drained registry.
 type ChurnReport struct {
 	Hosts     int `json:"hosts"`
 	ConnsPlan int `json:"conns_planned"`
-
-	// Summed over every host's OS-server scope.
-	ConnSetups     int64 `json:"conn_setups"`
-	ConnTeardowns  int64 `json:"conn_teardowns"`
-	OrphansAborted int64 `json:"orphans_aborted"`
-	SessionsMade   int64 `json:"sessions_made"`
-	SessionsReaped int64 `json:"sessions_reaped"`
-
-	// Residue at drain; every field must be zero.
-	LiveSessions int64 `json:"live_sessions"`
-	PortsInUse   int64 `json:"ports_in_use"`
-	TimeWait     int64 `json:"time_wait"`
+	Verdict
 
 	Snapshot *MetricsSnapshot `json:"-"`
 }
 
-// Check verifies the workload's conservation laws against the registry:
-// every connection established was either torn down normally or orphan-
-// aborted, every session record was reaped, and no port, session, or
-// TIME_WAIT socket leaked through the churn.
-func (r *ChurnReport) Check() error {
-	// Each logical connection is set up on both the client's and the
-	// server's OS server, so the global count is 2x the plan.
-	if want := int64(2 * r.ConnsPlan); r.ConnSetups < want {
-		return fmt.Errorf("churn: %d connection setups, want >= %d", r.ConnSetups, want)
-	}
-	if r.ConnSetups != r.ConnTeardowns+r.OrphansAborted {
-		return fmt.Errorf("churn: setups %d != teardowns %d + orphans aborted %d",
-			r.ConnSetups, r.ConnTeardowns, r.OrphansAborted)
-	}
-	if r.SessionsMade != r.SessionsReaped {
-		return fmt.Errorf("churn: sessions made %d != reaped %d", r.SessionsMade, r.SessionsReaped)
-	}
-	if r.LiveSessions != 0 {
-		return fmt.Errorf("churn: %d sessions leaked", r.LiveSessions)
-	}
-	if r.PortsInUse != 0 {
-		return fmt.Errorf("churn: %d ports leaked", r.PortsInUse)
-	}
-	if r.TimeWait != 0 {
-		return fmt.Errorf("churn: %d sockets stuck in TIME_WAIT after drain", r.TimeWait)
-	}
-	return nil
-}
-
 const churnPort = 5001
 
-// RunChurn builds the network, runs the workload to completion plus the
-// drain period, and reads the registry into a report. Deterministic for
-// a given config: two runs with the same seed produce byte-identical
-// snapshots.
+// RunChurn builds the flat network, runs the workload to completion
+// plus the drain period, and judges the registry. Deterministic for a
+// given config: two runs with the same seed produce byte-identical
+// snapshots and verdicts.
 func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
-	if cfg.Districts > 0 {
-		return runChurnDistricted(cfg)
-	}
-	if cfg.Shards > 0 {
-		return nil, fmt.Errorf("churn: Shards requires Districts (a flat segment is one shard)")
-	}
-	if cfg.MsgBytes <= 0 {
-		cfg.MsgBytes = 512
-	}
-	if cfg.Drain <= 0 {
-		// 2MSL TIME_WAIT (60 s) and the orphan port quarantine (60 s)
-		// both expire within this window.
-		cfg.Drain = 75 * time.Second
-	}
 	n := NewConfig(Config{Seed: cfg.Seed, Metrics: true})
 
 	// Servers at 10.0.1.x, clients at 10.0.2.x/10.0.3.x.
@@ -129,182 +67,188 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 	for j := range clients {
 		clients[j] = n.Host(fmt.Sprintf("cli%d", j), fmt.Sprintf("10.0.%d.%d", 2+j/200, j%200+1), cfg.Arch)
 	}
+	w := &echoChurn{
+		servers: [][]*Host{servers},
+		clients: [][]*Host{clients},
+		// Every client walks the server list round-robin from its own
+		// offset.
+		target:      func(_, j, k int) (int, int) { return 0, (j + k) % cfg.Servers },
+		conns:       cfg.ConnsPerClient,
+		orphanEvery: cfg.OrphanEvery,
+		msgBytes:    cfg.MsgBytes,
+	}
+	return w.run(&harness{n: n, drain: cfg.Drain}, cfg.Arch)
+}
 
-	// Every client walks the server list round-robin from its own
-	// offset, so each server's expected accept count is known up front.
-	expect := make([]int, cfg.Servers)
-	for j := 0; j < cfg.Clients; j++ {
-		for k := 0; k < cfg.ConnsPerClient; k++ {
-			expect[(j+k)%cfg.Servers]++
+// echoChurn is the connection-churn workload RunChurn and RunCity
+// share: echo servers accept a known number of connections; clients
+// connect, send one message, read its echo, and close, while every Nth
+// client dies with its last connection open. Hosts come in groups (one
+// for the flat segment, one per district); target aims connection k of
+// client j in group d at a (group, server) and is a pure function, so
+// every server's accept count is known up front.
+type echoChurn struct {
+	servers, clients [][]*Host // [group][i]
+	target           func(d, j, k int) (td, ts int)
+	conns            int // sequential connections per client
+	orphanEvery      int // every Nth client (counted across groups) is orphaned
+	msgBytes         int
+	msg              []byte // the payload every client sends
+}
+
+// run spawns the workload on h's network, installs the churn laws,
+// runs it plus the drain (0 = 75 s), and returns the judged report.
+func (w *echoChurn) run(h *harness, arch Arch) (*ChurnReport, error) {
+	if w.msgBytes <= 0 {
+		w.msgBytes = 512
+	}
+	w.msg = make([]byte, w.msgBytes)
+	for b := range w.msg {
+		w.msg[b] = byte(b)
+	}
+	if h.drain <= 0 {
+		// 2MSL TIME_WAIT (60 s) and the orphan port quarantine (60 s)
+		// both expire within this window.
+		h.drain = 75 * time.Second
+	}
+	rep := &ChurnReport{}
+	expect := make([][]int, len(w.servers))
+	for d := range expect {
+		expect[d] = make([]int, len(w.servers[d]))
+		rep.Hosts += len(w.servers[d]) + len(w.clients[d])
+	}
+	for d := range w.clients {
+		for j := range w.clients[d] {
+			for k := 0; k < w.conns; k++ {
+				td, ts := w.target(d, j, k)
+				expect[td][ts]++
+			}
+		}
+		rep.ConnsPlan += len(w.clients[d]) * w.conns
+	}
+
+	h.suite.Add(churnLaws(arch, rep.ConnsPlan)...)
+
+	for d := range w.servers {
+		for i, host := range w.servers[d] {
+			w.serve(h, d, host, expect[d][i])
+		}
+	}
+	global := 0
+	for d := range w.clients {
+		for j, host := range w.clients[d] {
+			global++
+			w.client(h, d, j, host, w.orphanEvery > 0 && global%w.orphanEvery == 0)
 		}
 	}
 
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-
-	for i, h := range servers {
-		i, h := i, h
-		app := h.NewApp("echo")
-		n.Spawn(fmt.Sprintf("srv%d", i), func(t *Thread) {
-			ls, err := app.Socket(t, SockStream)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := app.Bind(t, ls, SockAddr{Port: churnPort}); err != nil {
-				fail(err)
-				return
-			}
-			app.Listen(t, ls, 64)
-			buf := make([]byte, cfg.MsgBytes)
-			for served := 0; served < expect[i]; served++ {
-				fd, _, err := app.Accept(t, ls)
-				if err != nil {
-					fail(err)
-					return
-				}
-				got := 0
-				for got < cfg.MsgBytes {
-					n, err := app.Recv(t, fd, buf[got:], 0)
-					if err != nil || n == 0 {
-						break // client died mid-stream; still count it served
-					}
-					got += n
-				}
-				if got == cfg.MsgBytes {
-					if _, err := app.Send(t, fd, buf, 0); err != nil {
-						fail(err)
-					}
-				}
-				app.Close(t, fd)
-			}
-			app.Close(t, ls)
-		})
-	}
-
-	msg := make([]byte, cfg.MsgBytes)
-	for b := range msg {
-		msg[b] = byte(b)
-	}
-	for j, h := range clients {
-		j := j
-		orphan := cfg.OrphanEvery > 0 && (j+1)%cfg.OrphanEvery == 0
-		app := h.NewApp("churn")
-		n.Spawn(fmt.Sprintf("cli%d", j), func(t *Thread) {
-			// Stagger starts so the SYN burst stays inside listen backlogs.
-			t.Sleep(time.Duration(j) * 3 * time.Millisecond)
-			for k := 0; k < cfg.ConnsPerClient; k++ {
-				srv := servers[(j+k)%cfg.Servers]
-				fd, err := app.Socket(t, SockStream)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := app.Connect(t, fd, srv.Addr(churnPort)); err != nil {
-					fail(fmt.Errorf("cli%d conn %d: %w", j, k, err))
-					return
-				}
-				if _, err := app.Send(t, fd, msg, 0); err != nil {
-					fail(err)
-					return
-				}
-				buf := make([]byte, cfg.MsgBytes)
-				got := 0
-				for got < cfg.MsgBytes {
-					n, err := app.Recv(t, fd, buf[got:], 0)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if n == 0 {
-						fail(fmt.Errorf("cli%d conn %d: premature EOF", j, k))
-						return
-					}
-					got += n
-				}
-				if orphan && k == cfg.ConnsPerClient-1 {
-					// Die with the connection open: the host's OS server
-					// must abort the orphan and quarantine the port.
-					app.ExitProcess(t)
-					return
-				}
-				app.Close(t, fd)
-			}
-		})
-	}
-
-	if err := n.Run(); err != nil {
+	if err := h.run(); err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := n.RunFor(cfg.Drain); err != nil {
-		return nil, err
-	}
-
-	snap := n.MetricsSnapshot()
-	rep := &ChurnReport{
-		Hosts:          cfg.Servers + cfg.Clients,
-		ConnsPlan:      cfg.Clients * cfg.ConnsPerClient,
-		ConnSetups:     snap.Sum(".core.conn_setup"),
-		ConnTeardowns:  snap.Sum(".core.conn_teardown"),
-		OrphansAborted: snap.Sum(".core.orphans_aborted"),
-		SessionsMade:   snap.Sum(".core.sessions_made"),
-		SessionsReaped: snap.Sum(".core.sessions_reaped"),
-		LiveSessions:   snap.Sum(".core.sessions"),
-		PortsInUse:     snap.Sum(".core.ports_in_use"),
-		TimeWait:       snap.Sum(".tcp_state.time_wait"),
-		Snapshot:       snap,
-	}
+	ctx, v := h.judge()
+	rep.Verdict, rep.Snapshot = v, &ctx.Snap
 	return rep, nil
 }
 
-// runChurnDistricted maps the churn config onto the districted city
-// topology: same workload shape, same conservation laws, but the hosts
-// sit behind district routers so the build can scale past 10^4 hosts
-// and run sharded.
-func runChurnDistricted(cfg ChurnConfig) (*ChurnReport, error) {
-	if cfg.Servers%cfg.Districts != 0 || cfg.Clients%cfg.Districts != 0 {
-		return nil, fmt.Errorf("churn: Servers (%d) and Clients (%d) must divide evenly into %d districts",
-			cfg.Servers, cfg.Clients, cfg.Districts)
+// churnLaws are the churn workload's laws: where hosts run an OS
+// server, every planned connection was set up — on both the client's
+// and the server's OS server, so twice the plan — and the lifecycle laws
+// hold; on every architecture no TIME_WAIT socket outlives the drain.
+func churnLaws(arch Arch, plan int) []slo.Check {
+	var laws []slo.Check
+	if arch.hasOSServer() {
+		laws = append([]slo.Check{slo.SumAtLeast("conn-setups", ".core.conn_setup", int64(2*plan))}, osServerLaws()...)
 	}
-	city, err := RunCity(CityConfig{
-		Seed:               cfg.Seed,
-		Districts:          cfg.Districts,
-		ServersPerDistrict: cfg.Servers / cfg.Districts,
-		ClientsPerDistrict: cfg.Clients / cfg.Districts,
-		ConnsPerClient:     cfg.ConnsPerClient,
-		CrossEvery:         4, // keep most churn local; every 4th connection rides a trunk
-		OrphanEvery:        cfg.OrphanEvery,
-		MsgBytes:           cfg.MsgBytes,
-		Arch:               cfg.Arch,
-		Shards:             cfg.Shards,
-		SingleThreaded:     cfg.SingleThreaded,
-		Drain:              cfg.Drain,
+	return append(laws, slo.SumZero("no-time-wait-leak", ".tcp_state.time_wait"))
+}
+
+// serve runs an echo server on host that accepts exactly count
+// connections. Errors are keyed by group: one group lives on one shard,
+// so the reported error is deterministic.
+func (w *echoChurn) serve(h *harness, d int, host *Host, count int) {
+	app := host.NewApp("echo")
+	host.Spawn(host.Name(), func(t *Thread) {
+		ls, err := app.Socket(t, SockStream)
+		if err != nil {
+			h.fail(d, err)
+			return
+		}
+		if err := app.Bind(t, ls, SockAddr{Port: churnPort}); err != nil {
+			h.fail(d, err)
+			return
+		}
+		app.Listen(t, ls, 64)
+		buf := make([]byte, w.msgBytes)
+		for served := 0; served < count; served++ {
+			fd, _, err := app.Accept(t, ls)
+			if err != nil {
+				h.fail(d, err)
+				return
+			}
+			got := 0
+			for got < w.msgBytes {
+				n, err := app.Recv(t, fd, buf[got:], 0)
+				if err != nil || n == 0 {
+					break // client died mid-stream; still count it served
+				}
+				got += n
+			}
+			if got == w.msgBytes {
+				if _, err := app.Send(t, fd, buf, 0); err != nil {
+					h.fail(d, err)
+				}
+			}
+			app.Close(t, fd)
+		}
+		app.Close(t, ls)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := city.Check(); err != nil {
-		return nil, err
-	}
-	c := city.Churn
-	return &ChurnReport{
-		Hosts:          city.Hosts,
-		ConnsPlan:      city.ConnsPlan,
-		ConnSetups:     c.ConnSetups,
-		ConnTeardowns:  c.ConnTeardowns,
-		OrphansAborted: c.OrphansAborted,
-		SessionsMade:   c.SessionsMade,
-		SessionsReaped: c.SessionsReaped,
-		LiveSessions:   c.LiveSessions,
-		PortsInUse:     c.PortsInUse,
-		TimeWait:       c.TimeWait,
-		Snapshot:       city.Snapshot,
-	}, nil
+}
+
+// client runs client j of group d: sequential connections along the
+// target plan, dying with the last one open when orphan is set.
+func (w *echoChurn) client(h *harness, d, j int, host *Host, orphan bool) {
+	app := host.NewApp("churn")
+	host.Spawn(host.Name(), func(t *Thread) {
+		// Stagger starts within the group so the SYN burst stays inside
+		// listen backlogs.
+		t.Sleep(time.Duration(j) * 3 * time.Millisecond)
+		for k := 0; k < w.conns; k++ {
+			td, ts := w.target(d, j, k)
+			srv := w.servers[td][ts]
+			fd, err := app.Socket(t, SockStream)
+			if err != nil {
+				h.fail(d, err)
+				return
+			}
+			if err := app.Connect(t, fd, srv.Addr(churnPort)); err != nil {
+				h.fail(d, fmt.Errorf("%s conn %d: %w", host.Name(), k, err))
+				return
+			}
+			if _, err := app.Send(t, fd, w.msg, 0); err != nil {
+				h.fail(d, err)
+				return
+			}
+			buf := make([]byte, w.msgBytes)
+			got := 0
+			for got < w.msgBytes {
+				n, err := app.Recv(t, fd, buf[got:], 0)
+				if err != nil {
+					h.fail(d, err)
+					return
+				}
+				if n == 0 {
+					h.fail(d, fmt.Errorf("%s conn %d: premature EOF", host.Name(), k))
+					return
+				}
+				got += n
+			}
+			if orphan && k == w.conns-1 {
+				// Die with the connection open: the host's OS server
+				// must abort the orphan and quarantine the port.
+				app.ExitProcess(t)
+				return
+			}
+			app.Close(t, fd)
+		}
+	})
 }

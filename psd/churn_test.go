@@ -6,8 +6,18 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/slo"
 	"repro/psd"
 )
+
+// requirePassed fails the test with the failing laws when a workload's
+// verdict did not pass.
+func requirePassed(t *testing.T, v psd.Verdict) {
+	t.Helper()
+	if !v.Passed {
+		t.Fatalf("conservation laws failed:\n%s", slo.Report(slo.Failures(v.SLO)))
+	}
+}
 
 // smallChurn is a quick configuration for the determinism and
 // architecture-coverage tests.
@@ -24,25 +34,25 @@ func smallChurn(seed int64, arch psd.Arch) psd.ChurnConfig {
 	}
 }
 
-// TestChurnSmall runs a small churn on each architecture. The
-// conservation checks only apply where an OS server tracks sessions
-// (the decomposed architecture); on the baselines the workload must
-// simply complete and leave no TIME_WAIT residue.
+// TestChurnSmall runs a small churn on the decomposed architecture,
+// where the OS server's lifecycle laws apply.
 func TestChurnSmall(t *testing.T) {
 	rep, err := psd.RunChurn(smallChurn(1, psd.Decomposed()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Check(); err != nil {
-		t.Error(err)
-	}
-	if rep.OrphansAborted == 0 {
+	requirePassed(t, rep.Verdict)
+	if rep.Snapshot.Sum(".core.orphans_aborted") == 0 {
 		t.Error("no orphans aborted; the orphan path did not run")
 	}
-	if want := int64(2 * rep.ConnsPlan); rep.ConnSetups != want {
-		t.Errorf("conn setups = %d, want %d (both ends of every planned conn)", rep.ConnSetups, want)
+	if got, want := rep.Snapshot.Sum(".core.conn_setup"), int64(2*rep.ConnsPlan); got != want {
+		t.Errorf("conn setups = %d, want %d (both ends of every planned conn)", got, want)
 	}
 }
+
+// TestChurnBaselineArchitectures runs the churn on the baselines, which
+// have no OS server: the workload must complete and leave no TIME_WAIT
+// residue.
 
 func TestChurnBaselineArchitectures(t *testing.T) {
 	for _, tc := range []struct {
@@ -59,16 +69,14 @@ func TestChurnBaselineArchitectures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.TimeWait != 0 {
-				t.Errorf("TIME_WAIT residue after drain = %d", rep.TimeWait)
-			}
+			requirePassed(t, rep.Verdict)
 		})
 	}
 }
 
 // TestChurnDeterminism asserts the headline reproducibility property:
 // two runs with the same seed produce byte-identical JSON registry
-// snapshots, on every architecture. Run with -count=2 in CI so the
+// snapshots and verdict reports, on every architecture. Run with -count=2 in CI so the
 // property also holds across process invocations.
 func TestChurnDeterminism(t *testing.T) {
 	for _, tc := range []struct {
@@ -93,6 +101,7 @@ func TestChurnDeterminism(t *testing.T) {
 				if err := metrics.WriteJSON(&buf, *rep.Snapshot); err != nil {
 					t.Fatal(err)
 				}
+				buf.WriteString(slo.Report(rep.SLO))
 				return buf.Bytes()
 			}
 			a, b := render(), render()
@@ -120,12 +129,9 @@ func TestChurnFullScale(t *testing.T) {
 	if rep.ConnsPlan < 2000 {
 		t.Fatalf("planned conns = %d, want >= 2000", rep.ConnsPlan)
 	}
-	if err := rep.Check(); err != nil {
-		t.Error(err)
-	}
-	if rep.OrphansAborted == 0 {
+	requirePassed(t, rep.Verdict)
+	if rep.Snapshot.Sum(".core.orphans_aborted") == 0 {
 		t.Error("no orphans aborted at scale")
 	}
-	t.Logf("churn: %d hosts, %d conns, %d setups, %d teardowns, %d orphans",
-		rep.Hosts, rep.ConnsPlan, rep.ConnSetups, rep.ConnTeardowns, rep.OrphansAborted)
+	t.Logf("churn: %d hosts, %d conns\n%s", rep.Hosts, rep.ConnsPlan, slo.Report(rep.SLO))
 }

@@ -2,7 +2,6 @@ package psd
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -16,8 +15,8 @@ import (
 //
 // Districts are placed round-robin on the configured shards; the
 // backbone router and every trunk's backbone end live on shard 0.
-// Acceptance is expressed as conservation laws over the metrics
-// registry and the trunk direction counters (see CityReport.Check).
+// Acceptance is the report's Verdict: the churn conservation laws, the
+// trunk frame ledgers, and the per-shard dispatch ledger.
 type CityConfig struct {
 	Seed               int64
 	Districts          int
@@ -64,98 +63,22 @@ func DefaultCity(seed int64, shards int) CityConfig {
 	}
 }
 
-// TrunkDirDigest is the frame ledger of one trunk direction, used by
-// the conservation checks: everything the direction serialized must be
-// accounted for as a delivery or an attributed drop, and everything
-// delivered must have been received on the far end.
-type TrunkDirDigest struct {
-	Name      string `json:"name"`
-	Sent      uint64 `json:"sent"`
-	Dup       uint64 `json:"dup"`
-	Delivered uint64 `json:"delivered"`
-	PeerRecv  uint64 `json:"peer_recv"`
-	Drops     uint64 `json:"drops"` // loss + down + malformed
-	PartDrops uint64 `json:"part_drops"`
-}
-
-// CityReport is the registry-derived outcome of a city run.
+// CityReport is the outcome of a city run: the churn report (size,
+// verdict, registry) plus the scheduler's own ledger.
 type CityReport struct {
-	Churn CityChurnLaws `json:"churn"`
+	ChurnReport
 
-	Hosts     int `json:"hosts"`
 	Districts int `json:"districts"`
 	Shards    int `json:"shards"`
-	ConnsPlan int `json:"conns_planned"`
 
-	Trunks []TrunkDirDigest `json:"trunks"`
-
-	// DispatchedTotal is the group's event count; DispatchedPerShard
-	// must sum to it (classic runs have one implicit shard).
-	DispatchedTotal    uint64   `json:"dispatched_total"`
-	DispatchedPerShard []uint64 `json:"dispatched_per_shard"`
-	Windows            uint64   `json:"windows"`
-
-	Snapshot *MetricsSnapshot `json:"-"`
+	// DispatchedTotal is the group's event count (the single loop's in
+	// classic runs); Windows the synchronization windows group runs took.
+	DispatchedTotal uint64 `json:"dispatched_total"`
+	Windows         uint64 `json:"windows"`
 
 	// Trace is the run's flight recorder when CityConfig.Trace was set
 	// (nil otherwise); equivalence tests diff its merged records.
 	Trace *Recorder `json:"-"`
-}
-
-// CityChurnLaws are the churn conservation quantities, summed over
-// every district's hosts.
-type CityChurnLaws struct {
-	ConnSetups     int64 `json:"conn_setups"`
-	ConnTeardowns  int64 `json:"conn_teardowns"`
-	OrphansAborted int64 `json:"orphans_aborted"`
-	SessionsMade   int64 `json:"sessions_made"`
-	SessionsReaped int64 `json:"sessions_reaped"`
-	LiveSessions   int64 `json:"live_sessions"`
-	PortsInUse     int64 `json:"ports_in_use"`
-	TimeWait       int64 `json:"time_wait"`
-}
-
-// Check verifies the run's conservation laws:
-//
-//   - connection/session/port accounting balances and leaves no residue
-//     (the churn laws),
-//   - every frame a trunk direction serialized is accounted for:
-//     sent + duplicated == delivered + drops-with-cause,
-//   - every delivered frame was received on the peer shard,
-//   - the per-shard dispatch counters sum to the group total.
-func (r *CityReport) Check() error {
-	c := &r.Churn
-	if want := int64(2 * r.ConnsPlan); c.ConnSetups < want {
-		return fmt.Errorf("city: %d connection setups, want >= %d", c.ConnSetups, want)
-	}
-	if c.ConnSetups != c.ConnTeardowns+c.OrphansAborted {
-		return fmt.Errorf("city: setups %d != teardowns %d + orphans aborted %d",
-			c.ConnSetups, c.ConnTeardowns, c.OrphansAborted)
-	}
-	if c.SessionsMade != c.SessionsReaped {
-		return fmt.Errorf("city: sessions made %d != reaped %d", c.SessionsMade, c.SessionsReaped)
-	}
-	if c.LiveSessions != 0 || c.PortsInUse != 0 || c.TimeWait != 0 {
-		return fmt.Errorf("city: residue after drain: %d sessions, %d ports, %d time-wait",
-			c.LiveSessions, c.PortsInUse, c.TimeWait)
-	}
-	for _, d := range r.Trunks {
-		if d.Sent+d.Dup != d.Delivered+d.Drops+d.PartDrops {
-			return fmt.Errorf("city: trunk %s: sent %d + dup %d != delivered %d + drops %d + partition %d",
-				d.Name, d.Sent, d.Dup, d.Delivered, d.Drops, d.PartDrops)
-		}
-		if d.Delivered != d.PeerRecv {
-			return fmt.Errorf("city: trunk %s: delivered %d != peer received %d", d.Name, d.Delivered, d.PeerRecv)
-		}
-	}
-	var sum uint64
-	for _, v := range r.DispatchedPerShard {
-		sum += v
-	}
-	if sum != r.DispatchedTotal {
-		return fmt.Errorf("city: per-shard dispatch counters sum to %d, group total is %d", sum, r.DispatchedTotal)
-	}
-	return nil
 }
 
 // districtCIDR carves districts out of 10/8: /24 per district, gateway
@@ -180,52 +103,58 @@ func trunkCIDR(d int) (cidr, bbAddr, distAddr string) {
 		fmt.Sprintf("172.%d.%d.%d", hi, lo, 2)
 }
 
-// RunCity builds the districted topology, runs the workload to
-// completion plus the drain period, and reads the registry and trunk
-// ledgers into a report. Deterministic for a given config — and
-// identical for every shard count and threading mode, which the
-// equivalence tests in shard_test.go verify byte for byte.
+// RunCity builds the districted topology, runs the churn workload to
+// completion plus the drain period, and judges the registry: the churn
+// laws, the trunk frame ledgers, and the per-shard dispatch ledger.
+// Deterministic for a given config — and identical for every shard
+// count and threading mode, which the equivalence tests in
+// shard_test.go verify byte for byte.
 func RunCity(cfg CityConfig) (*CityReport, error) {
-	n, err := buildCity(&cfg)
+	n, w, err := buildCity(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runCity(n, cfg)
+	h := &harness{n: n, drain: cfg.Drain}
+	h.suite.Add(trunkLaws(n.trunkDirs())...)
+	h.suite.Add(n.dispatchLaw())
+	churn, err := w.run(h, cfg.Arch)
+	if err != nil {
+		return nil, err
+	}
+	rep := &CityReport{ChurnReport: *churn, Districts: cfg.Districts, Shards: cfg.Shards, Trace: n.Trace()}
+	rep.DispatchedTotal, _ = n.dispatched()
+	if g := n.Group(); g != nil {
+		rep.Windows = g.Windows()
+	}
+	return rep, nil
 }
 
-// cityNet carries the built topology into the workload driver.
-type cityNet struct {
-	net     *Network
-	servers [][]*Host // [district][i]
-	clients [][]*Host
-	expect  [][]int // accepts expected per [district][server]
-}
-
-func buildCity(cfg *CityConfig) (*cityNet, error) {
+// buildCity builds the districted topology and the churn workload
+// over it, one host group per district.
+func buildCity(cfg *CityConfig) (*Network, *echoChurn, error) {
 	if cfg.Districts <= 0 {
-		return nil, fmt.Errorf("city: Districts must be positive")
+		return nil, nil, fmt.Errorf("city: Districts must be positive")
 	}
 	if cfg.ServersPerDistrict <= 0 || cfg.ClientsPerDistrict < 0 {
-		return nil, fmt.Errorf("city: need at least one server per district")
+		return nil, nil, fmt.Errorf("city: need at least one server per district")
 	}
 	if cfg.ServersPerDistrict+cfg.ClientsPerDistrict > 250 {
-		return nil, fmt.Errorf("city: at most 250 hosts per district (/24 addressing)")
-	}
-	if cfg.MsgBytes <= 0 {
-		cfg.MsgBytes = 512
+		return nil, nil, fmt.Errorf("city: at most 250 hosts per district (/24 addressing)")
 	}
 	if cfg.TrunkProp <= 0 {
 		cfg.TrunkProp = time.Millisecond
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = 75 * time.Second
 	}
 	n := NewConfig(Config{
 		Seed: cfg.Seed, Metrics: true,
 		Shards: cfg.Shards, SingleThreaded: cfg.SingleThreaded,
 		Trace: cfg.Trace, TraceLimit: cfg.TraceLimit,
 	})
-	c := &cityNet{net: n}
+	w := &echoChurn{
+		target:      func(d, j, k int) (int, int) { return cityTarget(cfg, d, j, k) },
+		conns:       cfg.ConnsPerClient,
+		orphanEvery: cfg.OrphanEvery,
+		msgBytes:    cfg.MsgBytes,
+	}
 
 	backbone := n.NewRouterOn(0, "bb")
 	shards := cfg.Shards
@@ -246,10 +175,10 @@ func buildCity(cfg *CityConfig) (*cityNet, error) {
 		trunk := n.NewTrunk(fmt.Sprintf("t%d", d), tcidr, cfg.TrunkProp)
 		trunk.Attach(backbone, bbAddr).Attach(rtr, distAddr)
 		if err := backbone.AddRoute(cidr, distAddr); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := rtr.AddRoute("0.0.0.0/0", bbAddr); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 
 		srvs := make([]*Host, cfg.ServersPerDistrict)
@@ -261,26 +190,10 @@ func buildCity(cfg *CityConfig) (*cityNet, error) {
 			clis[j] = sub.Host(fmt.Sprintf("d%dc%d", d, j),
 				districtHostAddr(d, cfg.ServersPerDistrict+j), cfg.Arch)
 		}
-		c.servers = append(c.servers, srvs)
-		c.clients = append(c.clients, clis)
+		w.servers = append(w.servers, srvs)
+		w.clients = append(w.clients, clis)
 	}
-
-	// The connection plan is a pure function of the config: client j of
-	// district d aims connection k at district target(d,j,k), server
-	// (j+k) mod servers. Every server knows its accept count up front.
-	c.expect = make([][]int, cfg.Districts)
-	for d := range c.expect {
-		c.expect[d] = make([]int, cfg.ServersPerDistrict)
-	}
-	for d := 0; d < cfg.Districts; d++ {
-		for j := 0; j < cfg.ClientsPerDistrict; j++ {
-			for k := 0; k < cfg.ConnsPerClient; k++ {
-				td, ts := cityTarget(cfg, d, j, k)
-				c.expect[td][ts]++
-			}
-		}
-	}
-	return c, nil
+	return n, w, nil
 }
 
 // cityTarget picks the (district, server) a connection aims at. Cross
@@ -292,188 +205,4 @@ func cityTarget(cfg *CityConfig, d, j, k int) (td, ts int) {
 		td = (d + 1 + (j+k)%(cfg.Districts-1)) % cfg.Districts
 	}
 	return td, (j + k) % cfg.ServersPerDistrict
-}
-
-func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
-	n := c.net
-
-	// Workload errors surface on whichever shard hits them first; the
-	// mutex makes collection race-safe and the winner is re-picked
-	// deterministically (lowest district, then index) after the run.
-	type werr struct {
-		d, j int
-		err  error
-	}
-	var (
-		mu   sync.Mutex
-		errs []werr
-	)
-	fail := func(d, j int, err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		errs = append(errs, werr{d, j, err})
-		mu.Unlock()
-	}
-
-	for d := range c.servers {
-		for i, h := range c.servers[d] {
-			d, i, h := d, i, h
-			app := h.NewApp("echo")
-			h.Spawn(h.Name(), func(t *Thread) {
-				ls, err := app.Socket(t, SockStream)
-				if err != nil {
-					fail(d, i, err)
-					return
-				}
-				if err := app.Bind(t, ls, SockAddr{Port: churnPort}); err != nil {
-					fail(d, i, err)
-					return
-				}
-				app.Listen(t, ls, 64)
-				buf := make([]byte, cfg.MsgBytes)
-				for served := 0; served < c.expect[d][i]; served++ {
-					fd, _, err := app.Accept(t, ls)
-					if err != nil {
-						fail(d, i, err)
-						return
-					}
-					got := 0
-					for got < cfg.MsgBytes {
-						n, err := app.Recv(t, fd, buf[got:], 0)
-						if err != nil || n == 0 {
-							break // client died mid-stream; still count it served
-						}
-						got += n
-					}
-					if got == cfg.MsgBytes {
-						if _, err := app.Send(t, fd, buf, 0); err != nil {
-							fail(d, i, err)
-						}
-					}
-					app.Close(t, fd)
-				}
-				app.Close(t, ls)
-			})
-		}
-	}
-
-	msg := make([]byte, cfg.MsgBytes)
-	for b := range msg {
-		msg[b] = byte(b)
-	}
-	for d := range c.clients {
-		for j, h := range c.clients[d] {
-			d, j, h := d, j, h
-			global := d*cfg.ClientsPerDistrict + j
-			orphan := cfg.OrphanEvery > 0 && (global+1)%cfg.OrphanEvery == 0
-			app := h.NewApp("churn")
-			h.Spawn(h.Name(), func(t *Thread) {
-				// Stagger starts within the district so the SYN burst
-				// stays inside listen backlogs.
-				t.Sleep(time.Duration(j) * 3 * time.Millisecond)
-				for k := 0; k < cfg.ConnsPerClient; k++ {
-					td, ts := cityTarget(&cfg, d, j, k)
-					srv := c.servers[td][ts]
-					fd, err := app.Socket(t, SockStream)
-					if err != nil {
-						fail(d, j, err)
-						return
-					}
-					if err := app.Connect(t, fd, srv.Addr(churnPort)); err != nil {
-						fail(d, j, fmt.Errorf("d%dc%d conn %d: %w", d, j, k, err))
-						return
-					}
-					if _, err := app.Send(t, fd, msg, 0); err != nil {
-						fail(d, j, err)
-						return
-					}
-					buf := make([]byte, cfg.MsgBytes)
-					got := 0
-					for got < cfg.MsgBytes {
-						n, err := app.Recv(t, fd, buf[got:], 0)
-						if err != nil {
-							fail(d, j, err)
-							return
-						}
-						if n == 0 {
-							fail(d, j, fmt.Errorf("d%dc%d conn %d: premature EOF", d, j, k))
-							return
-						}
-						got += n
-					}
-					if orphan && k == cfg.ConnsPerClient-1 {
-						// Die with the connection open: the host's OS
-						// server must abort the orphan and quarantine
-						// the port.
-						app.ExitProcess(t)
-						return
-					}
-					app.Close(t, fd)
-				}
-			})
-		}
-	}
-
-	if err := n.Run(); err != nil {
-		return nil, err
-	}
-	if len(errs) > 0 {
-		first := errs[0]
-		for _, e := range errs[1:] {
-			if e.d < first.d || (e.d == first.d && e.j < first.j) {
-				first = e
-			}
-		}
-		return nil, first.err
-	}
-	if err := n.RunFor(cfg.Drain); err != nil {
-		return nil, err
-	}
-
-	snap := n.MetricsSnapshot()
-	rep := &CityReport{
-		Hosts:     cfg.Districts * (cfg.ServersPerDistrict + cfg.ClientsPerDistrict),
-		Districts: cfg.Districts,
-		Shards:    cfg.Shards,
-		ConnsPlan: cfg.Districts * cfg.ClientsPerDistrict * cfg.ConnsPerClient,
-		Churn: CityChurnLaws{
-			ConnSetups:     snap.Sum(".core.conn_setup"),
-			ConnTeardowns:  snap.Sum(".core.conn_teardown"),
-			OrphansAborted: snap.Sum(".core.orphans_aborted"),
-			SessionsMade:   snap.Sum(".core.sessions_made"),
-			SessionsReaped: snap.Sum(".core.sessions_reaped"),
-			LiveSessions:   snap.Sum(".core.sessions"),
-			PortsInUse:     snap.Sum(".core.ports_in_use"),
-			TimeWait:       snap.Sum(".tcp_state.time_wait"),
-		},
-		Snapshot: snap,
-		Trace:    n.Trace(),
-	}
-	for _, tr := range n.Trunks() {
-		dirs := tr.Directions()
-		for i, nic := range dirs {
-			peer := dirs[1-i]
-			st := nic.DirStats()
-			rep.Trunks = append(rep.Trunks, TrunkDirDigest{
-				Name:      nic.Name(),
-				Sent:      st.FramesSent.Value(),
-				Dup:       st.FramesDup.Value(),
-				Delivered: st.DeliveryEvents.Value(),
-				PeerRecv:  peer.RxFrames.Value(),
-				Drops:     st.FramesDropped(),
-				PartDrops: st.PartitionDrops.Value(),
-			})
-		}
-	}
-	if g := n.Group(); g != nil {
-		total, per := g.Dispatched()
-		rep.DispatchedTotal, rep.DispatchedPerShard = total, per
-		rep.Windows = g.Windows()
-	} else {
-		rep.DispatchedTotal = n.Sim().Dispatched()
-		rep.DispatchedPerShard = []uint64{rep.DispatchedTotal}
-	}
-	return rep, nil
 }

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/slo"
 )
 
 // LBConfig parameterizes the load-balancer churn workload: clients
 // connecting through a VIP while the backend pool changes under them.
 // Mid-run one backend is killed (its embryonic flows re-home, its
-// established flows are reset) and a fresh backend joins; the
-// conservation gate (LBReport.Check) then demands that every client
-// connection was served by exactly one backend or visibly failed, and
-// that no flow or SNAT port leaked through the churn.
+// established flows are reset) and a fresh backend joins; the report's
+// Verdict then demands that every client connection was served by
+// exactly one backend or visibly failed, and that no flow or SNAT port
+// leaked through the churn.
 type LBConfig struct {
 	Seed           int64
 	Arch           Arch
@@ -45,7 +48,10 @@ func DefaultLB(seed int64) LBConfig {
 	}
 }
 
-// LBReport is the outcome of one load-balancer churn run.
+// LBReport is the outcome of one load-balancer churn run: headline
+// numbers and the verdict of its conservation laws. The client-observed
+// counts live in the registry's "lb" workload scope (lb.served,
+// lb.failed, lb.backend.<name>.served), where the laws read them.
 type LBReport struct {
 	ConnsPlan int   `json:"conns_planned"`
 	Served    int64 `json:"served"` // full request/response exchanges
@@ -56,46 +62,43 @@ type LBReport struct {
 	BackendServed []int64 `json:"backend_served"`
 
 	// Plane accounting on the load-balancer host.
-	LBConns   int64 `json:"lb_conns"`
-	Rehomed   int64 `json:"rehomed"`
-	Resets    int64 `json:"resets"`
-	Refused   int64 `json:"refused"`
-	CTCreated int64 `json:"ct_created"`
-	CTExpired int64 `json:"ct_expired"`
+	Rehomed int64 `json:"rehomed"`
+	Resets  int64 `json:"resets"`
 
-	// Residue after drain; both must be zero.
-	FlowsLeft int64 `json:"flows_left"`
-	SNATLeft  int64 `json:"snat_left"`
-
+	Verdict
 	Snapshot *MetricsSnapshot `json:"-"`
 }
 
-// Check verifies the run's conservation laws: every planned connection
-// either completed against exactly one backend or failed visibly, at
-// least one backend served, and the churn left no flow-table entry or
-// SNAT port behind.
-func (r *LBReport) Check() error {
-	if r.Served+r.Failed != int64(r.ConnsPlan) {
-		return fmt.Errorf("lb: served %d + failed %d != planned %d", r.Served, r.Failed, r.ConnsPlan)
+// lbLaws are the VIP conservation laws: every planned connection either
+// completed against exactly one backend or failed visibly, at least one
+// backend served, and the churn left no conntrack flow, SNAT port, or
+// TIME_WAIT socket behind — nor, where hosts run an OS server, a
+// session or port.
+func lbLaws(arch Arch, planned int64) []slo.Check {
+	var laws []slo.Check
+	if arch.hasOSServer() {
+		laws = osServerLaws()
 	}
-	var byBackend int64
-	for _, c := range r.BackendServed {
-		byBackend += c
-	}
-	if byBackend != r.Served {
-		return fmt.Errorf("lb: per-backend serves sum to %d, served %d (a connection must land on exactly one backend)",
-			byBackend, r.Served)
-	}
-	if r.Served == 0 {
-		return fmt.Errorf("lb: no connection served")
-	}
-	if r.FlowsLeft != 0 {
-		return fmt.Errorf("lb: %d conntrack flows leaked", r.FlowsLeft)
-	}
-	if r.SNATLeft != 0 {
-		return fmt.Errorf("lb: %d SNAT ports leaked", r.SNATLeft)
-	}
-	return nil
+	return append(laws,
+		slo.Expr("lb-conns-accounted", func(c *slo.Context) (bool, string) {
+			served, failed := c.Snap.Sum("lb.served"), c.Snap.Sum("lb.failed")
+			return served+failed == planned, fmt.Sprintf("served %d + failed %d, planned %d", served, failed, planned)
+		}),
+		slo.Expr("lb-one-backend-per-conn", func(c *slo.Context) (bool, string) {
+			var byBackend int64
+			for _, it := range c.Snap.Items {
+				if strings.HasPrefix(it.Name, "lb.backend.") && strings.HasSuffix(it.Name, ".served") {
+					byBackend += it.Value
+				}
+			}
+			served := c.Snap.Sum("lb.served")
+			return byBackend == served, fmt.Sprintf("per-backend serves sum to %d, served %d", byBackend, served)
+		}),
+		slo.SumAtLeast("lb-served", "lb.served", 1),
+		slo.SumZero("no-flow-leak", ".dataplane.ct.flows"),
+		slo.SumZero("no-snat-leak", ".dataplane.lb.snat_in_use"),
+		slo.SumZero("no-time-wait-leak", ".tcp_state.time_wait"),
+	)
 }
 
 const (
@@ -106,9 +109,9 @@ const (
 )
 
 // RunLB builds a network — one load-balancer host, a backend pool, and
-// client hosts — and runs the churn workload to completion plus drain.
-// Deterministic for a given config: two runs produce byte-identical
-// registry snapshots.
+// client hosts — runs the churn workload to completion plus drain, and
+// judges the registry. Deterministic for a given config: two runs
+// produce byte-identical registry snapshots and verdicts.
 func RunLB(cfg LBConfig) (*LBReport, error) {
 	if cfg.Backends < 2 {
 		return nil, fmt.Errorf("lb: need at least 2 backends")
@@ -148,11 +151,16 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 		return nil, err
 	}
 
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+	wl := &harness{n: n, drain: cfg.Drain}
+	wl.suite.Add(lbLaws(cfg.Arch, int64(cfg.Clients*cfg.ConnsPerClient))...)
+	fail := func(err error) { wl.fail(0, err) }
+
+	// The client-observed outcome, in the "lb" workload scope.
+	sc := n.reg.Scope("lb")
+	served, failed := sc.NewCounter("served"), sc.NewCounter("failed")
+	backendServed := make([]*metrics.Counter, total)
+	for i, b := range backends {
+		backendServed[i] = sc.Sub("backend." + b.Name()).NewCounter("served")
 	}
 
 	// Backends: serve request/response exchanges until a quit request
@@ -228,7 +236,6 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 
 	// Clients: sequential connections through the VIP, tolerating (and
 	// counting) failures during the churn window.
-	rep := &LBReport{ConnsPlan: cfg.Clients * cfg.ConnsPerClient, BackendServed: make([]int64, total)}
 	backendIdx := func(name string) int {
 		for i, b := range backends {
 			if b.Name() == name {
@@ -272,18 +279,18 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 					return true
 				}
 				if oneConn() {
-					rep.Served++
+					served.Inc()
 					name := string(buf)
 					if z := strings.IndexByte(name, 0); z >= 0 {
 						name = name[:z]
 					}
 					if bi := backendIdx(name); bi >= 0 {
-						rep.BackendServed[bi]++
+						backendServed[bi].Inc()
 					} else {
 						fail(fmt.Errorf("lb: response named unknown backend %q", name))
 					}
 				} else {
-					rep.Failed++
+					failed.Inc()
 				}
 				app.Close(t, fd)
 			}
@@ -319,25 +326,23 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 		}
 	})
 
-	if err := n.Run(); err != nil {
+	if err := wl.run(); err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := n.RunFor(cfg.Drain); err != nil {
-		return nil, err
-	}
-
+	ctx, v := wl.judge()
 	plane := lb.Dataplane()
-	rep.LBConns = int64(plane.Stats.LBConns.Value())
-	rep.Rehomed = int64(plane.Stats.LBRehomed.Value())
-	rep.Resets = int64(plane.Stats.LBResets.Value())
-	rep.Refused = int64(plane.Stats.LBRefused.Value())
-	rep.CTCreated = int64(plane.Stats.CTCreated.Value())
-	rep.CTExpired = int64(plane.Stats.CTExpired.Value())
-	rep.FlowsLeft = int64(plane.FlowCount())
-	rep.SNATLeft = int64(plane.SNATInUse())
-	rep.Snapshot = n.MetricsSnapshot()
+	rep := &LBReport{
+		ConnsPlan:     cfg.Clients * cfg.ConnsPerClient,
+		Served:        int64(served.Value()),
+		Failed:        int64(failed.Value()),
+		BackendServed: make([]int64, total),
+		Rehomed:       int64(plane.Stats.LBRehomed.Value()),
+		Resets:        int64(plane.Stats.LBResets.Value()),
+		Verdict:       v,
+		Snapshot:      &ctx.Snap,
+	}
+	for i, c := range backendServed {
+		rep.BackendServed[i] = int64(c.Value())
+	}
 	return rep, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/slo"
 )
 
 // TestLBConservation runs the VIP churn workload — kill one backend
@@ -20,9 +22,7 @@ func TestLBConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rep.Check(); err != nil {
-				t.Fatal(err)
-			}
+			requirePassed(t, rep.Verdict)
 			if rep.Rehomed+rep.Resets == 0 {
 				t.Errorf("backend kill at %v left no trace: rehomed=0 resets=0", cfg.KillAt)
 			}
@@ -48,9 +48,7 @@ func TestLBNoChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Check(); err != nil {
-		t.Fatal(err)
-	}
+	requirePassed(t, rep.Verdict)
 	if rep.Failed != 0 {
 		t.Fatalf("steady state failed %d connections", rep.Failed)
 	}
@@ -59,8 +57,8 @@ func TestLBNoChurn(t *testing.T) {
 			t.Errorf("backend %d served 0 of %d connections (Maglev spread broken)", i, rep.Served)
 		}
 	}
-	if rep.LBConns != int64(rep.ConnsPlan) {
-		t.Errorf("plane admitted %d connections, want %d", rep.LBConns, rep.ConnsPlan)
+	if got := rep.Snapshot.Sum(".dataplane.lb.conns"); got != int64(rep.ConnsPlan) {
+		t.Errorf("plane admitted %d connections, want %d", got, rep.ConnsPlan)
 	}
 }
 
@@ -68,7 +66,7 @@ func TestLBNoChurn(t *testing.T) {
 // architecture and requires byte-identical registry snapshots — the
 // stateful tables (conntrack, SNAT allocator, Maglev pool) must not
 // leak map-iteration or wall-clock nondeterminism into anything
-// observable. CI re-runs this battery with -count=2.
+// observable, the verdict report included. CI re-runs this battery with -count=2.
 func TestLBDeterminism(t *testing.T) {
 	for _, f := range ArchFlavors() {
 		f := f
@@ -85,7 +83,7 @@ func TestLBDeterminism(t *testing.T) {
 				for _, it := range rep.Snapshot.Items {
 					out += fmt.Sprintf("%s %v\n", it.Name, it.Value)
 				}
-				return out
+				return out + slo.Report(rep.SLO)
 			}
 			a, b := digest(), digest()
 			if a != b {
@@ -106,9 +104,7 @@ func TestLBFlowPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Check(); err != nil {
-		t.Fatal(err)
-	}
+	requirePassed(t, rep.Verdict)
 	if rep.Failed != 0 {
 		t.Fatalf("pool growth broke %d connections (pinned flows must survive a resize)", rep.Failed)
 	}

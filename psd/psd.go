@@ -49,8 +49,6 @@ type (
 	Registry = metrics.Registry
 	// MetricsSnapshot is a point-in-time, sorted reading of a registry.
 	MetricsSnapshot = metrics.Snapshot
-	// MetricsItem is one named instrument inside a snapshot.
-	MetricsItem = metrics.Item
 	// MetricsScope is a named prefix in the registry; adapters bind
 	// their counters under one (see Framer.BindMetrics).
 	MetricsScope = metrics.Scope
@@ -79,12 +77,8 @@ type (
 type (
 	// Recorder is the deterministic flight recorder (see Config.Trace).
 	Recorder = trace.Recorder
-	// TraceRecord is one recorded event.
-	TraceRecord = trace.Record
 	// TraceLayer selects which subsystems the recorder captures.
 	TraceLayer = trace.Layer
-	// TraceWant is one step of an ordered-subsequence trace oracle.
-	TraceWant = trace.Want
 )
 
 // Trace layers, re-exported for Config.Trace.
@@ -100,9 +94,6 @@ const (
 type (
 	// App is the socket interface an application process uses.
 	App = socketapi.API
-	// ZeroCopyApp is the optional NEWAPI shared-buffer interface (§4.2);
-	// only Decomposed hosts provide a meaningful implementation.
-	ZeroCopyApp = socketapi.ZeroCopyAPI
 	// ChainApp is the chain-based scatter-gather/sendfile interface:
 	// SendChain, RecvPeek/RecvRelease, and cross-socket Splice. Every
 	// architecture implements it; only Decomposed aliases storage on the
@@ -222,7 +213,6 @@ type Network struct {
 	rec     *trace.Recorder
 	reg     *metrics.Registry
 	next    int
-	subnets []*Subnet
 	routers []*Router
 	trunks  []*Trunk
 }

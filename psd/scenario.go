@@ -59,8 +59,7 @@ type ScenarioResult struct {
 
 	SimNs int64 `json:"sim_ns"` // virtual time consumed, drain included
 
-	SLO    []SLOResult `json:"slo"`
-	Passed bool        `json:"passed"`
+	Verdict
 }
 
 // ScenarioNames lists the suite in canonical order.
@@ -111,20 +110,17 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	return env.finish()
 }
 
-// scenarioEnv is the shared harness: network, scenario-scoped
-// instruments, the SLO suite under construction, and bookkeeping.
+// scenarioEnv is the workload harness plus the scenario-scoped
+// instruments and the scenario's traffic stream.
 type scenarioEnv struct {
-	cfg   ScenarioConfig
-	n     *Network
-	rng   *rand.Rand
-	suite slo.Suite
-	err   error
+	harness
+	cfg ScenarioConfig
+	rng *rand.Rand
+	err error
 
 	reqH     *metrics.Histogram
 	requests *metrics.Counter
 	errors   *metrics.Counter
-
-	drain time.Duration
 }
 
 // setup creates the network (metrics always on; trace layers as given)
@@ -152,8 +148,8 @@ func (e *scenarioEnv) setup(layers ...TraceLayer) {
 	e.drain = 75 * time.Second
 }
 
-// run executes the workload plus the drain period (2MSL + port
-// quarantine), so conservation SLOs see a quiescent network.
+// run hands the built network to the Observe hook, then executes the
+// workload plus the drain period.
 func (e *scenarioEnv) run() {
 	if e.err != nil {
 		return
@@ -161,13 +157,7 @@ func (e *scenarioEnv) run() {
 	if e.cfg.Observe != nil {
 		e.cfg.Observe(e.n)
 	}
-	if err := e.n.Run(); err != nil {
-		e.err = err
-		return
-	}
-	if err := e.n.RunFor(e.drain); err != nil {
-		e.err = err
-	}
+	e.err = e.harness.run()
 }
 
 // baseSLOs installs the assertions every scenario shares: the workload
@@ -187,9 +177,7 @@ func (e *scenarioEnv) baseSLOs(wantRequests int64) {
 
 // finish evaluates the SLO suite and assembles the result.
 func (e *scenarioEnv) finish() (*ScenarioResult, error) {
-	ctx := slo.NewContext(e.n.reg, e.n.Now())
-	results := e.suite.Eval(ctx)
-
+	ctx, v := e.judge()
 	r := &ScenarioResult{
 		Name:     e.cfg.Name,
 		Arch:     e.cfg.ArchName,
@@ -197,8 +185,7 @@ func (e *scenarioEnv) finish() (*ScenarioResult, error) {
 		Requests: int64(e.requests.Value()),
 		Errors:   int64(e.errors.Value()),
 		SimNs:    int64(e.n.Now()),
-		SLO:      results,
-		Passed:   slo.Passed(results),
+		Verdict:  v,
 	}
 	if e.reqH.Count() > 0 {
 		r.ReqP50Ns = int64(e.reqH.Quantile(0.50))

@@ -6,17 +6,19 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/slo"
 	"repro/internal/trace"
 )
 
 // cityDigest runs a city and reduces it to a byte string that any
 // equivalent run must reproduce exactly: the full merged trace, the
 // metrics snapshot (minus its wall-clock-free but stop-time-dependent
-// At stamp), the conservation quantities, the trunk frame ledgers, and
-// the total event count. Per-shard and per-window quantities are
+// At stamp), the verdict report — conservation quantities and trunk
+// frame ledgers included — and the total event count. Per-shard and per-window quantities are
 // deliberately excluded — they describe the execution, not the
 // simulation.
 func cityDigest(t *testing.T, cfg CityConfig) string {
@@ -26,8 +28,8 @@ func cityDigest(t *testing.T, cfg CityConfig) string {
 	if err != nil {
 		t.Fatalf("RunCity(shards=%d single=%v): %v", cfg.Shards, cfg.SingleThreaded, err)
 	}
-	if err := rep.Check(); err != nil {
-		t.Fatalf("conservation (shards=%d single=%v): %v", cfg.Shards, cfg.SingleThreaded, err)
+	if !rep.Passed {
+		t.Fatalf("conservation (shards=%d single=%v):\n%s", cfg.Shards, cfg.SingleThreaded, slo.Report(slo.Failures(rep.SLO)))
 	}
 	var b bytes.Buffer
 	if err := trace.WriteText(&b, rep.Trace.Records()); err != nil {
@@ -38,16 +40,7 @@ func cityDigest(t *testing.T, cfg CityConfig) string {
 		t.Fatal(err)
 	}
 	b.Write(items)
-	laws, err := json.Marshal(rep.Churn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Write(laws)
-	trunks, err := json.Marshal(rep.Trunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Write(trunks)
+	b.WriteString(slo.Report(rep.SLO))
 	fmt.Fprintf(&b, "dispatched=%d", rep.DispatchedTotal)
 	return b.String()
 }
@@ -82,17 +75,15 @@ func TestCityConservation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if err := rep.Check(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if rep.Churn.OrphansAborted == 0 {
+		requirePassed(t, rep.Verdict)
+		if rep.Snapshot.Sum(".core.orphans_aborted") == 0 {
 			t.Fatalf("shards=%d: no orphans aborted; OrphanEvery did not bite", shards)
 		}
 		// DefaultCity plans cross-district connections, so an idle trunk
 		// means the routing (or the cross pattern) silently broke.
-		for _, d := range rep.Trunks {
-			if d.Sent == 0 {
-				t.Fatalf("shards=%d: trunk %s carried no traffic", shards, d.Name)
+		for _, it := range rep.Snapshot.Items {
+			if strings.HasPrefix(it.Name, "trunk.") && strings.HasSuffix(it.Name, ".frames_sent") && it.Value == 0 {
+				t.Fatalf("shards=%d: %s carried no traffic", shards, it.Name)
 			}
 		}
 	}
@@ -182,35 +173,26 @@ func TestCityPropertyRandomTopologies(t *testing.T) {
 	}
 }
 
-// TestChurnDistricted covers the ChurnConfig delegation: the classic
-// churn laws hold on the districted, sharded build.
+// TestChurnDistricted runs the churn workload on the districted,
+// sharded build: the churn laws hold there as on the flat segment.
 func TestChurnDistricted(t *testing.T) {
-	rep, err := RunChurn(ChurnConfig{
-		Seed:           3,
-		Servers:        4,
-		Clients:        12,
-		ConnsPerClient: 4,
-		OrphanEvery:    6,
-		MsgBytes:       256,
-		Arch:           Decomposed(),
-		Districts:      2,
-		Shards:         2,
+	rep, err := RunCity(CityConfig{
+		Seed:               3,
+		Districts:          2,
+		ServersPerDistrict: 2,
+		ClientsPerDistrict: 6,
+		ConnsPerClient:     4,
+		CrossEvery:         4,
+		OrphanEvery:        6,
+		MsgBytes:           256,
+		Arch:               Decomposed(),
+		Shards:             2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Check(); err != nil {
-		t.Fatal(err)
-	}
+	requirePassed(t, rep.Verdict)
 	if rep.Hosts != 16 {
 		t.Fatalf("hosts = %d, want 16", rep.Hosts)
-	}
-}
-
-// TestChurnShardsRequireDistricts pins the error path: a flat segment
-// cannot be cut into shards.
-func TestChurnShardsRequireDistricts(t *testing.T) {
-	if _, err := RunChurn(ChurnConfig{Seed: 1, Servers: 1, Clients: 1, ConnsPerClient: 1, Shards: 2}); err == nil {
-		t.Fatal("RunChurn with Shards but no Districts did not fail")
 	}
 }

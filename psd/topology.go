@@ -72,7 +72,6 @@ func (n *Network) NewSubnetOn(shard int, name, cidr string) *Subnet {
 		prefixLen: plen,
 		routes:    rt,
 	}
-	n.subnets = append(n.subnets, s)
 	return s
 }
 
@@ -191,6 +190,7 @@ type Trunk struct {
 	prefix    wire.IPAddr
 	prefixLen int
 	dirs      []*simnet.NIC // attach order
+	ends      []*Router     // the router behind each of dirs
 }
 
 // NewTrunk creates a trunk link with its own small prefix (typically a
@@ -243,6 +243,7 @@ func (t *Trunk) Attach(r *Router, addr string) *Trunk {
 		nic.SetTrace(n.lane(nic.Sim()))
 	}
 	t.dirs = append(t.dirs, nic)
+	t.ends = append(t.ends, r)
 	return t
 }
 
@@ -290,9 +291,6 @@ func ParseCIDR(s string) (wire.IPAddr, int, error) {
 	}
 	return ip.Mask(plen), plen, nil
 }
-
-// Subnets returns the network's subnets in creation order.
-func (n *Network) Subnets() []*Subnet { return n.subnets }
 
 // Routers returns the network's routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
