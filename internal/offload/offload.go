@@ -152,7 +152,15 @@ type Engine struct {
 	// against Costs.TxFIFOFrames/RxFIFOFrames to decide when a frame
 	// falls back to the software path.
 	txQueued int
-	rxQueued int
+
+	// Receive completions awaiting delivery up, oldest at upHead. The
+	// receive pipeline is FIFO, so their delivery events fire in queue
+	// order and each one hands up the head; upFn is deliverHead bound
+	// once, so scheduling a delivery allocates no closure. The backing
+	// array is reused once the queue drains.
+	upQ    []simnet.Frame
+	upHead int
+	upFn   func()
 
 	// Adaptive moderation state.
 	ewmaGap time.Duration
@@ -163,6 +171,7 @@ type Engine struct {
 	// merge is open (bounded by concurrently-held flows, and never
 	// iterated, so the map cannot perturb determinism).
 	pending map[flowKey]*mergeBuf
+	spare   []*mergeBuf // flushed merge records, reused by the next open
 
 	Stats Stats
 }
@@ -202,7 +211,9 @@ func New(cfg Config) *Engine {
 	if cfg.IdleGap <= 0 {
 		cfg.IdleGap = DefaultIdleGap
 	}
-	return &Engine{cfg: cfg, pending: make(map[flowKey]*mergeBuf)}
+	e := &Engine{cfg: cfg, pending: make(map[flowKey]*mergeBuf)}
+	e.upFn = e.deliverHead
+	return e
 }
 
 // BindMetrics registers the engine's counters under a scope (typically
@@ -240,7 +251,7 @@ func (e *Engine) txFull() bool {
 
 func (e *Engine) rxFull() bool {
 	max := e.cfg.Costs.RxFIFOFrames
-	return max > 0 && e.rxQueued+len(e.pending) >= max
+	return max > 0 && len(e.upQ)-e.upHead+len(e.pending) >= max
 }
 
 // sw charges software-fallback work on the host CPU and continues.
@@ -598,8 +609,16 @@ func (e *Engine) Rx(f simnet.Frame) {
 			e.deliverAfter(d, f)
 			return
 		}
-		// In-order continuation: absorb.
-		pend.buf = append(pend.buf, f.Data[p.payAt:wire.EthHeaderLen+int(p.ip.TotalLen)]...)
+		// In-order continuation: absorb. A merge opens sized to its
+		// first frame; the first continuation that does not fit grows
+		// it once to the most a merge can hold before it flushes.
+		pay := f.Data[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+		if cap(pend.buf)-len(pend.buf) < len(pay) {
+			grown := make([]byte, len(pend.buf), max(p.payAt+e.cfg.MaxCoalesce+e.cfg.MSS, len(pend.buf)+len(pay)))
+			copy(grown, pend.buf)
+			pend.buf = grown
+		}
+		pend.buf = append(pend.buf, pay...)
 		pend.count++
 		pend.nextSeq += uint32(payLen)
 		pend.lastAck = p.tcp.Ack
@@ -619,9 +638,19 @@ func (e *Engine) Rx(f simnet.Frame) {
 
 	// Open a merge with this frame as the template. The buffer is a
 	// private copy: delivered frames are immutable, and the merged
-	// super-segment is a new frame that never existed on the wire.
-	pend = &mergeBuf{
+	// super-segment is a new frame that never existed on the wire. A
+	// reused record keeps its generation, so hold timers armed for its
+	// earlier merge still see themselves as stale.
+	if n := len(e.spare); n > 0 {
+		pend = e.spare[n-1]
+		e.spare[n-1] = nil
+		e.spare = e.spare[:n-1]
+	} else {
+		pend = new(mergeBuf)
+	}
+	*pend = mergeBuf{
 		key:       key,
+		buf:       append([]byte(nil), f.Data[:wire.EthHeaderLen+int(p.ip.TotalLen)]...),
 		hlen:      p.tcpHLen,
 		count:     1,
 		nextSeq:   p.tcp.Seq + uint32(payLen),
@@ -629,9 +658,8 @@ func (e *Engine) Rx(f simnet.Frame) {
 		lastWin:   p.tcp.Window,
 		psh:       psh,
 		lastTouch: now,
+		gen:       pend.gen,
 	}
-	pend.buf = make([]byte, 0, p.payAt+e.cfg.MaxCoalesce+e.cfg.MSS)
-	pend.buf = append(pend.buf, f.Data[:wire.EthHeaderLen+int(p.ip.TotalLen)]...)
 	e.pending[key] = pend
 	e.Stats.LROMerged.Inc()
 	e.chargeRx(d)
@@ -709,6 +737,8 @@ func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 
 	e.Stats.LROFlushes.Inc()
 	e.Stats.LROBytes.Add(uint64(len(tb) - pend.hlen))
+	pend.buf = nil
+	e.spare = append(e.spare, pend)
 	e.deliverAfter(extra, simnet.Frame{Data: frame})
 }
 
@@ -723,11 +753,19 @@ func (e *Engine) deliverNow(f simnet.Frame) {
 // frame holds a receive FIFO slot until the delivery fires.
 func (e *Engine) deliverAfter(d time.Duration, f simnet.Frame) {
 	done := e.chargeRx(d)
-	e.rxQueued++
-	e.at(done, func() {
-		e.rxQueued--
-		e.cfg.Up(f)
-	})
+	e.upQ = append(e.upQ, f)
+	e.at(done, e.upFn)
+}
+
+// deliverHead hands up the oldest queued receive completion.
+func (e *Engine) deliverHead() {
+	f := e.upQ[e.upHead]
+	e.upQ[e.upHead] = simnet.Frame{}
+	e.upHead++
+	if e.upHead == len(e.upQ) {
+		e.upQ, e.upHead = e.upQ[:0], 0
+	}
+	e.cfg.Up(f)
 }
 
 // observeArrival updates the inter-arrival EWMA and reports whether the

@@ -56,7 +56,11 @@ func (s *Sim) spawn(name string, body func(p *Proc), daemon bool) *Proc {
 			if !p.daemon {
 				s.fg--
 			}
-			s.yield <- struct{}{}
+			if q := s.nextProc(); q != nil {
+				q.resume <- struct{}{}
+			} else {
+				s.yield <- struct{}{}
+			}
 		}()
 		body(p)
 	}()
@@ -73,9 +77,20 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// yieldToScheduler hands control back and waits to be resumed.
+// yieldToScheduler gives up control until p's resume event is
+// dispatched. If the run's next event resumes another Proc, control goes
+// straight to it; if it resumes p, p keeps running without a switch;
+// otherwise control returns to the run's home goroutine.
 func (p *Proc) yieldToScheduler() {
-	p.sim.yield <- struct{}{}
+	s := p.sim
+	switch q := s.nextProc(); q {
+	case p:
+		return
+	case nil:
+		s.yield <- struct{}{}
+	default:
+		q.resume <- struct{}{}
+	}
 	<-p.resume
 }
 

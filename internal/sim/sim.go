@@ -5,16 +5,26 @@
 // advance a shared virtual clock by scheduling events on a single Sim.
 //
 // Concurrency model: the scheduler executes exactly one event at a time.
-// Simulated processes (Proc) are goroutines, but control is handed between
-// the scheduler and at most one process goroutine through unbuffered
+// Simulated processes (Proc) are goroutines, but exactly one goroutine
+// holds control at any moment and control passes through unbuffered
 // channels, so logically the whole simulation is single-threaded and fully
 // deterministic for a given seed. Simulation state may therefore be
 // mutated freely from event callbacks and from running Procs without
 // locking.
+//
+// Each run has a home goroutine: the caller of Run or RunUntil, or the
+// shard worker executing a Group window. The home goroutine runs every
+// callback and resource grant. A Proc that parks or exits looks at the
+// run's next event itself: if that event resumes a Proc, it dispatches it
+// and passes control straight to that Proc (or, when the Proc is itself
+// next, simply keeps running), so a resume costs at most one goroutine
+// switch. Any other next step (a callback, the end of the run, a Stop, a
+// captured panic) is left to the home goroutine. Callbacks stay off Proc
+// stacks on purpose: thousands of parked Procs would otherwise each grow
+// their stack to the depth of the deepest callback chain they ever ran.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -91,39 +101,76 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// eventHeap is a 4-ary min-heap of events ordered by (at, band, origin,
+// seq). Keys are unique, so the pop order is a total order independent of
+// the heap's shape. Each event's index is kept current because Timer.Stop
+// reads it.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].band != h[j].band {
-		return h[i].band < h[j].band
+	if a.band != b.band {
+		return a.band < b.band
 	}
-	if h[i].origin != h[j].origin {
-		return h[i].origin < h[j].origin
+	if a.origin != b.origin {
+		return a.origin < b.origin
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
+
+func (h *eventHeap) push(ev *event) {
+	i := len(*h)
 	*h = append(*h, ev)
+	q := *h
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
+	}
+	q[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	top.index = -1
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(last) {
+			break
+		}
+		q[i] = q[m]
+		q[i].index = i
+		i = m
+	}
+	q[i] = last
+	last.index = i
+	return top
 }
 
 // Sim is a discrete-event simulator instance.
@@ -140,6 +187,11 @@ type Sim struct {
 	panicV  any
 	tracer  Tracer
 	free    []*event // recycled events (the pool behind the heap)
+
+	// The current run's bounds, which a parking Proc checks before it
+	// dispatches the next resume itself (see nextProc).
+	limit   Time // latest event time the run may dispatch
+	untilFg bool // Run: stop once every foreground process has exited
 
 	// Sharding state. A standalone Sim has group == nil and none of it
 	// is touched on the hot path.
@@ -239,8 +291,7 @@ func (s *Sim) schedule(at Time, fn func(), p *Proc) *event {
 	} else {
 		ev = &event{at: at, seq: s.seq, fn: fn, proc: p}
 	}
-	ev.index = -1
-	heap.Push(&s.events, ev)
+	s.events.push(ev)
 	return ev
 }
 
@@ -273,8 +324,7 @@ func (s *Sim) ScheduleRemote(at Time, origin, oseq uint64, fn func()) {
 		ev = &event{at: at, seq: oseq, fn: fn}
 	}
 	ev.band, ev.origin = 1, origin
-	ev.index = -1
-	heap.Push(&s.events, ev)
+	s.events.push(ev)
 }
 
 // remoteMsg is one staged cross-shard delivery awaiting the barrier.
@@ -392,12 +442,13 @@ func (s *Sim) Run() error {
 	s.running = true
 	defer func() { s.running = false }()
 	s.stopped = false
+	s.limit, s.untilFg = deadline, true
 	for !s.stopped {
 		if s.everFg && s.fg == 0 {
 			// All foreground work is done.
 			return nil
 		}
-		ev := s.next()
+		ev := s.peek()
 		if ev == nil {
 			if s.fg > 0 {
 				return fmt.Errorf("sim: deadlock at %v: %d foreground process(es) parked with no pending events: %s",
@@ -408,23 +459,10 @@ func (s *Sim) Run() error {
 		if ev.at > deadline {
 			return fmt.Errorf("sim: virtual deadline %v exceeded (now %v, fg=%d)", Time(deadline), ev.at, s.fg)
 		}
-		s.now = ev.at
-		s.dispatch(ev)
+		s.dispatchTop()
 		if s.panicV != nil {
 			panic(s.panicV)
 		}
-	}
-	return nil
-}
-
-func (s *Sim) next() *event {
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		if ev.stopped {
-			s.recycle(ev)
-			continue
-		}
-		return ev
 	}
 	return nil
 }
@@ -437,7 +475,7 @@ func (s *Sim) peek() *event {
 		if !ev.stopped {
 			return ev
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 		s.recycle(ev)
 	}
 	return nil
@@ -448,14 +486,13 @@ func (s *Sim) peek() *event {
 // (the Group applies those at barriers), and it stops early on Stop or
 // on a captured proc panic so the coordinator can surface it.
 func (s *Sim) runWindow(end Time) {
+	s.limit, s.untilFg = end-1, false
 	for !s.stopped && s.panicV == nil {
 		ev := s.peek()
 		if ev == nil || ev.at >= end {
 			return
 		}
-		heap.Pop(&s.events)
-		s.now = ev.at
-		s.dispatch(ev)
+		s.dispatchTop()
 	}
 }
 
@@ -476,16 +513,12 @@ func (s *Sim) RunUntil(t Time) error {
 	s.running = true
 	defer func() { s.running = false }()
 	s.stopped = false
+	s.limit, s.untilFg = t, false
 	for !s.stopped {
-		if len(s.events) == 0 || s.events[0].at > t {
+		if ev := s.peek(); ev == nil || ev.at > t {
 			break
 		}
-		ev := s.next()
-		if ev == nil {
-			break
-		}
-		s.now = ev.at
-		s.dispatch(ev)
+		s.dispatchTop()
 		if s.panicV != nil {
 			panic(s.panicV)
 		}
@@ -496,32 +529,65 @@ func (s *Sim) RunUntil(t Time) error {
 	return nil
 }
 
-func (s *Sim) dispatch(ev *event) {
+// dispatchTop pops and executes the earliest event, which the caller has
+// found live with peek. It runs on the run's home goroutine. A Proc resume
+// returns once control comes back to the home goroutine, which may be
+// after several Procs have handed control among themselves.
+func (s *Sim) dispatchTop() {
+	ev := s.events.pop()
+	s.now = ev.at
+	if ev.proc != nil {
+		s.resumeOf(ev).resume <- struct{}{}
+		<-s.yield
+		return
+	}
 	s.dispatched++
 	if s.tracer != nil {
-		name := ""
-		if ev.proc != nil {
-			name = ev.proc.name
-		}
-		s.tracer.EventDispatch(s.now, name)
+		s.tracer.EventDispatch(s.now, "")
 	}
-	switch {
-	case ev.proc != nil:
-		p := ev.proc
-		p.pendingResume = nil
-		p.resume <- struct{}{}
-		<-s.yield
-	case ev.rw != nil:
+	if w := ev.rw; w != nil {
 		// Resource grant expired: run the continuation, then hand the
 		// resource to the next waiter.
-		w := ev.rw
 		w.done()
 		w.r.release(s)
 		w.r.putWaiter(w)
-	default:
+	} else {
 		ev.fn()
 	}
 	s.recycle(ev)
+}
+
+// resumeOf accounts for a popped Proc-resume event, recycles it, and
+// returns the Proc to resume. No Timer handle refers to a resume event,
+// so recycling it before the Proc runs is safe.
+func (s *Sim) resumeOf(ev *event) *Proc {
+	s.dispatched++
+	p := ev.proc
+	if s.tracer != nil {
+		s.tracer.EventDispatch(s.now, p.name)
+	}
+	p.pendingResume = nil
+	s.recycle(ev)
+	return p
+}
+
+// nextProc is called by a Proc that is parking or exiting. If the run's
+// next step is a Proc resume within the run's bounds, it dispatches that
+// event and returns the Proc to resume; otherwise it returns nil and the
+// next step belongs to the home goroutine. The checks mirror the home
+// loops in Run, RunUntil, and runWindow, so the executed order is the
+// same whichever goroutine dispatches.
+func (s *Sim) nextProc() *Proc {
+	if s.stopped || s.panicV != nil || (s.untilFg && s.everFg && s.fg == 0) {
+		return nil
+	}
+	ev := s.peek()
+	if ev == nil || ev.proc == nil || ev.at > s.limit {
+		return nil
+	}
+	s.events.pop()
+	s.now = ev.at
+	return s.resumeOf(ev)
 }
 
 func (s *Sim) parkedNames() string {
