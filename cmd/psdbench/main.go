@@ -13,6 +13,9 @@
 //	psdbench -sweep             # buffer-size sweeps
 //	psdbench -ablations         # design-choice ablations
 //	psdbench -rounds N -mb M    # adjust effort
+//	psdbench -suite hotpath,scale -out FILE
+//	                            # run recorded suites (or -suite all) and
+//	                            # append one entry each to FILE ("-" prints it)
 package main
 
 import (
@@ -22,7 +25,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/fault"
@@ -52,24 +54,11 @@ func main() {
 	jitter := flag.Duration("jitter", 0, "uniform random delay added per frame")
 	faultPlan := flag.String("faultplan", "", "fault plan (DSL, see EXPERIMENTS.md), e.g. '@2s partition A|B for=500ms'")
 	traceDir := flag.String("trace", "", "record every run on the flight recorder and dump the slowest run's trace (text, pcap, Chrome JSON) into this directory")
-	jsonOut := flag.String("json", "", "run the wall-clock hot-path suite and write BENCH_hotpath-style JSON to this file (\"-\" for stdout)")
-	metricsOut := flag.String("metrics", "", "run the metrics-registry digest suite and write BENCH_metrics-style JSON to this file (\"-\" for stdout)")
-	proxyOut := flag.String("proxy", "", "run the proxy forwarding suite (bsd vs chain vs splice on every architecture column) and write BENCH_proxy-style JSON to this file (\"-\" for stdout)")
-	proxyMB := flag.Int("proxy-mb", 4, "bytes forwarded per -proxy cell, in MB")
-	offloadRun := flag.Bool("offload", false, "run the NIC-offload comparison suite (tcp-steady at several offered loads, splice proxy, churn on all four architecture columns)")
-	offloadOut := flag.String("offload-json", "", "with -offload, also write a BENCH_offload-style JSON report to this file (\"-\" for stdout)")
-	dataplaneRun := flag.Bool("dataplane", false, "run the programmable-data-plane suite (throughput/latency vs filter-chain length on all four architecture columns, plus the conservation-gated L4 load-balancer churn workload)")
-	dataplaneOut := flag.String("dataplane-json", "", "with -dataplane, also write a BENCH_dataplane-style JSON report to this file (\"-\" for stdout)")
-	scenarios := flag.Bool("scenarios", false, "run the internet-scale scenario suite (all scenarios x all architectures) and gate on its SLOs")
-	scenariosOut := flag.String("scenarios-json", "", "with -scenarios, also write a BENCH_scenarios-style JSON report to this file (\"-\" for stdout)")
-	scenarioSeed := flag.Int64("scenario-seed", 1, "seed for -scenarios traffic generators")
-	scale := flag.Bool("scale", false, "run the sharded-simulation scale sweep (RunCity at growing host counts, classic loop vs shard groups) and gate on conservation laws plus the multi-shard speedup")
-	scaleArch := flag.String("scale-arch", "decomposed", "architecture for the -scale city workload (decomposed, inkernel, server, offload)")
-	scaleOut := flag.String("scale-json", "", "with -scale, also write a BENCH_scale-style JSON report to this file (\"-\" for stdout)")
-	scaleHosts := flag.Int("scale-hosts", 10000, "largest host count for the -scale sweep")
-	scaleSeed := flag.Int64("scale-seed", 1, "seed for the -scale city workload")
-	shards := flag.Int("shards", -1, "with -scale, sweep only the classic loop plus this shard count (default: classic, 1, 4, and 8 shards)")
-	benchLabel := flag.String("label", "", "label stored in the -json report (default: current date)")
+	suiteList := flag.String("suite", "", "run recorded suites, comma-separated or \"all\": hotpath, metrics, proxy, offload, dataplane, scenarios, scale")
+	out := flag.String("out", "", "append one entry per -suite run to this BENCH-style JSON file (\"-\" prints only the new entries)")
+	proxyMB := flag.Int("proxy-mb", 4, "bytes forwarded per proxy suite cell, in MB")
+	scaleHosts := flag.Int("scale-hosts", 10000, "largest host count for the scale suite")
+	benchLabel := flag.String("label", "psdbench", "label stored in each -out entry")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
 	flag.Parse()
@@ -176,58 +165,18 @@ func main() {
 		ran = true
 		fmt.Println(bench.FormatAblations(bench.RunAblations(opt)))
 	}
-	if *jsonOut != "" {
-		ran = true
-		if err := runHotpath(*jsonOut, *benchLabel, opt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	// -all keeps running the offload and dataplane suites alongside the
+	// paper tables.
+	if *all {
+		*suiteList += ",offload,dataplane"
 	}
-	if *metricsOut != "" {
+	if *suiteList != "" {
 		ran = true
-		if err := runMetrics(*metricsOut, *benchLabel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		sel, err := selectSuites(*suiteList)
+		if err == nil {
+			err = runSuites(sel, suiteArgs{proxyBytes: *proxyMB << 20, scaleHosts: *scaleHosts}, *out, *benchLabel)
 		}
-	}
-	if *proxyOut != "" {
-		ran = true
-		if err := runProxy(*proxyOut, *benchLabel, *proxyMB<<20); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *all || *offloadRun {
-		ran = true
-		if err := runOffload(*offloadOut, *benchLabel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *all || *dataplaneRun {
-		ran = true
-		if err := runDataplane(*dataplaneOut, *benchLabel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *scenarios {
-		ran = true
-		if err := runScenarios(*scenariosOut, *benchLabel, *scenarioSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *scale {
-		ran = true
-		shardCounts := []int{0, 1, 4, 8}
-		if *shards >= 0 {
-			shardCounts = []int{0}
-			if *shards > 0 {
-				shardCounts = append(shardCounts, *shards)
-			}
-		}
-		if err := runScale(*scaleOut, *benchLabel, *scaleArch, *scaleSeed, *scaleHosts, shardCounts); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -251,120 +200,9 @@ func main() {
 	}
 }
 
-// headlineConfig is the configuration the registry digest runs against:
-// the paper's headline Library-SHM-IPF system.
-func headlineConfig() bench.SysConfig { return bench.HeadlineConfig() }
-
-// runHotpath measures the wall-clock hot path and writes the JSON
-// report, including the registry digest of the headline configuration.
-func runHotpath(path, label string, opt Options) error {
-	results, err := bench.RunHotpath(0, 0)
-	if err != nil {
-		return err
-	}
-	metrics, err := bench.RunMetricsSuite(headlineConfig())
-	if err != nil {
-		return err
-	}
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := bench.HotpathReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Results: results,
-		Metrics: metrics,
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteHotpathJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote hot-path report to %s\n", path)
-	}
-	return nil
-}
-
-// runMetrics runs only the registry digest suite and writes the
-// BENCH_metrics-style JSON entry.
-func runMetrics(path, label string) error {
-	cfg := headlineConfig()
-	results, err := bench.RunMetricsSuite(cfg)
-	if err != nil {
-		return err
-	}
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := bench.MetricsReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Config:  cfg.Name,
-		Results: results,
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteMetricsJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote metrics report to %s\n", path)
-	}
-	return nil
-}
-
-// runProxy measures the socket-to-socket forwarding workload — the
-// flat-buffer loop against the chain and splice paths — on the three
-// reference architectures, and writes the BENCH_proxy-style report.
-func runProxy(path, label string, totalBytes int) error {
-	results, err := bench.RunProxySuite(totalBytes)
-	if err != nil {
-		return err
-	}
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := bench.ProxyReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Results: results,
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteProxyJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote proxy report to %s\n", path)
-	}
-	return nil
-}
-
 // writeTable renders paper table n (2, 3, or 4) to w; the goldens
 // under testdata hold the default-effort output.
-func writeTable(w io.Writer, n int, opt Options) {
+func writeTable(w io.Writer, n int, opt bench.Options) {
 	switch n {
 	case 2:
 		fmt.Fprintln(w, bench.FormatTable2(
@@ -390,6 +228,3 @@ func writeTable(w io.Writer, n int, opt Options) {
 		fmt.Fprintln(w, bench.FormatTable4("Table 4 (UDP): per-layer latency, µs per one-way message", udpCells))
 	}
 }
-
-// Options aliases bench.Options for the local helper signature.
-type Options = bench.Options

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata goldens")
@@ -24,7 +26,7 @@ func TestTableGolden(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("table%d", n), func(t *testing.T) {
 			var buf bytes.Buffer
-			writeTable(&buf, n, Options{LatRounds: defaultRounds, TotalBytes: defaultMB << 20})
+			writeTable(&buf, n, bench.Options{LatRounds: defaultRounds, TotalBytes: defaultMB << 20})
 			golden := filepath.Join("testdata", fmt.Sprintf("table%d.golden", n))
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/slo"
 	"repro/psd"
 )
@@ -24,42 +24,44 @@ import (
 
 // ScalePoint is one measured (workload size, scheduler shape) cell.
 type ScalePoint struct {
-	Arch           string  `json:"arch,omitempty"`
-	Hosts          int     `json:"hosts"`
-	Districts      int     `json:"districts"`
-	Conns          int     `json:"conns"`
-	Shards         int     `json:"shards"` // 0 = classic single loop
-	SingleThreaded bool    `json:"single_threaded,omitempty"`
-	VirtSeconds    float64 `json:"virt_seconds"`
-	RealSeconds    float64 `json:"real_seconds"`
-	SimPerReal     float64 `json:"sim_per_real"`
-	Events         uint64  `json:"events"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	Windows        uint64  `json:"windows,omitempty"`
+	Arch         string  `json:"arch,omitempty"`
+	Hosts        int     `json:"hosts"`
+	Districts    int     `json:"districts"`
+	Conns        int     `json:"conns"`
+	Shards       int     `json:"shards"` // 0 = classic single loop
+	VirtSeconds  float64 `json:"virt_seconds"`
+	RealSeconds  float64 `json:"real_seconds"`
+	SimPerReal   float64 `json:"sim_per_real"`
+	Events       uint64  `json:"events"`
+	EventsPerSec float64 `json:"events_per_sec"`
+	Windows      uint64  `json:"windows,omitempty"`
 	// AllocsPerWindow is heap allocations per synchronization window
 	// (sharded cells only) — the window-loop efficiency gauge. Cells run
 	// in fresh child processes, so the malloc counter sees one run.
 	AllocsPerWindow float64 `json:"allocs_per_window,omitempty"`
 }
 
-// ScaleReport is one BENCH_scale.json entry.
-type ScaleReport struct {
-	Label  string       `json:"label"`
-	Date   string       `json:"date"`
-	Seed   int64        `json:"seed"`
-	Points []ScalePoint `json:"points"`
-}
+// The scale sweep's fixed inputs; every recorded BENCH_scale.json entry
+// used them.
+const (
+	scaleSeed = 1
+	scaleArch = "decomposed"
+)
+
+// scaleShards are the scheduler shapes swept at each host count: the
+// classic single loop (0) and shard groups of 1, 4 and 8.
+var scaleShards = []int{0, 1, 4, 8}
 
 // scaleCity sizes a city to roughly the requested host count: 100
 // hosts per district (10 echo servers, 90 clients), one connection per
 // client, a quarter of them crossing districts over the trunks.
-func scaleCity(seed int64, hosts, shards int, single bool, arch psd.Arch) psd.CityConfig {
+func scaleCity(hosts, shards int, arch psd.Arch) psd.CityConfig {
 	districts := hosts / 100
 	if districts < 1 {
 		districts = 1
 	}
 	return psd.CityConfig{
-		Seed:               seed,
+		Seed:               scaleSeed,
 		Districts:          districts,
 		ServersPerDistrict: 10,
 		ClientsPerDistrict: 90,
@@ -69,18 +71,14 @@ func scaleCity(seed int64, hosts, shards int, single bool, arch psd.Arch) psd.Ci
 		MsgBytes:           256,
 		Arch:               arch,
 		Shards:             shards,
-		SingleThreaded:     single,
 		TrunkProp:          time.Millisecond,
 	}
 }
 
 // pointSpec is the child-process work order for one cell.
 type pointSpec struct {
-	Seed   int64  `json:"seed"`
-	Arch   string `json:"arch"`
-	Hosts  int    `json:"hosts"`
-	Shards int    `json:"shards"`
-	Single bool   `json:"single"`
+	Hosts  int `json:"hosts"`
+	Shards int `json:"shards"`
 }
 
 // scalePointFlag is the internal child mode: measure one cell and print
@@ -97,10 +95,7 @@ func runScalePointCmd(spec string) error {
 	if err := json.Unmarshal([]byte(spec), &ps); err != nil {
 		return fmt.Errorf("scale-point: %w", err)
 	}
-	if ps.Arch == "" {
-		ps.Arch = "decomposed"
-	}
-	p, err := runScalePoint(ps.Seed, ps.Arch, ps.Hosts, ps.Shards, ps.Single)
+	p, err := runScalePoint(ps.Hosts, ps.Shards)
 	if err != nil {
 		return err
 	}
@@ -108,32 +103,32 @@ func runScalePointCmd(spec string) error {
 }
 
 // spawnScalePoint measures one cell in a fresh child process.
-func spawnScalePoint(seed int64, archName string, hosts, shards int, single bool) (ScalePoint, error) {
+func spawnScalePoint(hosts, shards int) (ScalePoint, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	spec, _ := json.Marshal(pointSpec{Seed: seed, Arch: archName, Hosts: hosts, Shards: shards, Single: single})
+	spec, _ := json.Marshal(pointSpec{Hosts: hosts, Shards: shards})
 	cmd := exec.Command(exe, "-scale-point", string(spec))
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: %w", hosts, shards, err)
+		return ScalePoint{}, fmt.Errorf("hosts=%d shards=%d: %w", hosts, shards, err)
 	}
 	var p ScalePoint
 	if err := json.Unmarshal(out, &p); err != nil {
-		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: bad child output: %w", hosts, shards, err)
+		return ScalePoint{}, fmt.Errorf("hosts=%d shards=%d: bad child output: %w", hosts, shards, err)
 	}
 	return p, nil
 }
 
 // runScalePoint executes one cell and folds the run into a point.
-func runScalePoint(seed int64, archName string, hosts, shards int, single bool) (ScalePoint, error) {
-	arch, err := archByName(archName)
+func runScalePoint(hosts, shards int) (ScalePoint, error) {
+	f, err := psd.FlavorByName(scaleArch)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale: %w", err)
 	}
-	cfg := scaleCity(seed, hosts, shards, single, arch())
+	cfg := scaleCity(hosts, shards, f.New())
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
@@ -153,18 +148,17 @@ func runScalePoint(seed int64, archName string, hosts, shards int, single bool) 
 	// variable under test.
 	virt := float64(rep.Snapshot.At) / float64(time.Second)
 	p := ScalePoint{
-		Arch:           archName,
-		Hosts:          rep.Hosts,
-		Districts:      rep.Districts,
-		Conns:          rep.ConnsPlan,
-		Shards:         shards,
-		SingleThreaded: single,
-		VirtSeconds:    virt,
-		RealSeconds:    real.Seconds(),
-		SimPerReal:     virt / real.Seconds(),
-		Events:         rep.DispatchedTotal,
-		EventsPerSec:   float64(rep.DispatchedTotal) / real.Seconds(),
-		Windows:        rep.Windows,
+		Arch:         scaleArch,
+		Hosts:        rep.Hosts,
+		Districts:    rep.Districts,
+		Conns:        rep.ConnsPlan,
+		Shards:       shards,
+		VirtSeconds:  virt,
+		RealSeconds:  real.Seconds(),
+		SimPerReal:   virt / real.Seconds(),
+		Events:       rep.DispatchedTotal,
+		EventsPerSec: float64(rep.DispatchedTotal) / real.Seconds(),
+		Windows:      rep.Windows,
 	}
 	if rep.Windows > 0 {
 		p.AllocsPerWindow = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(rep.Windows)
@@ -172,21 +166,11 @@ func runScalePoint(seed int64, archName string, hosts, shards int, single bool) 
 	return p, nil
 }
 
-// runScale sweeps host counts x scheduler shapes, prints a table, and
-// writes a BENCH_scale-style JSON entry to path ("-" for stdout, "" for
-// none). The sweep fails if any conservation law fails, or if no
-// multi-shard run at the largest host count beats the classic
-// single-loop baseline on sim_per_real.
-func runScale(path, label, archName string, seed int64, maxHosts int, shardCounts []int) error {
-	if label == "" {
-		label = "psdbench"
-	}
-	if archName == "" {
-		archName = "decomposed"
-	}
-	if _, err := archByName(archName); err != nil {
-		return fmt.Errorf("scale: %w", err)
-	}
+// runScale sweeps host counts up to maxHosts x scheduler shapes and
+// records one "city" record per point. The sweep fails if any
+// conservation law fails, or if no multi-shard run at the largest host
+// count beats the classic single-loop baseline on sim_per_real.
+func runScale(maxHosts int) ([]bench.Record, error) {
 	hostSteps := []int{2500, 10000, 40000, 100000}
 	var hosts []int
 	for _, h := range hostSteps {
@@ -198,78 +182,46 @@ func runScale(path, label, archName string, seed int64, maxHosts int, shardCount
 		hosts = []int{maxHosts}
 	}
 
-	rep := ScaleReport{Label: label, Date: time.Now().UTC().Format("2006-01-02"), Seed: seed}
-	fmt.Printf("Scale sweep (arch %s)\n", archName)
-	fmt.Printf("%8s %10s %7s %8s %10s %10s %12s %9s %11s\n",
-		"hosts", "conns", "shards", "virt_s", "real_s", "sim/real", "events", "windows", "allocs/win")
+	var points []ScalePoint
 	var baseline, bestMulti float64
 	for _, h := range hosts {
-		for _, k := range shardCounts {
-			p, err := spawnScalePoint(seed, archName, h, k, false)
+		for _, k := range scaleShards {
+			p, err := spawnScalePoint(h, k)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if h == hosts[len(hosts)-1] {
 				// The largest host count is the gating row: measure it
 				// twice and keep the faster run, so single-run timing
 				// noise cannot flip the speedup verdict. The simulation
 				// itself is deterministic — only wall time varies.
-				p2, err := spawnScalePoint(seed, archName, h, k, false)
+				p2, err := spawnScalePoint(h, k)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if p2.SimPerReal > p.SimPerReal {
 					p = p2
 				}
-			}
-			rep.Points = append(rep.Points, p)
-			mode := "classic"
-			if k > 0 {
-				mode = fmt.Sprintf("%d", k)
-			}
-			apw := "-"
-			if p.AllocsPerWindow > 0 {
-				apw = fmt.Sprintf("%.0f", p.AllocsPerWindow)
-			}
-			fmt.Printf("%8d %10d %7s %8.1f %10.2f %10.1f %12d %9d %11s\n",
-				p.Hosts, p.Conns, mode, p.VirtSeconds, p.RealSeconds, p.SimPerReal, p.Events, p.Windows, apw)
-			if h == hosts[len(hosts)-1] {
 				if k == 0 {
 					baseline = p.SimPerReal
 				} else if p.SimPerReal > bestMulti {
 					bestMulti = p.SimPerReal
 				}
 			}
+			points = append(points, p)
 		}
 	}
-	if baseline > 0 && bestMulti > 0 && bestMulti <= baseline {
-		return fmt.Errorf("scale: no multi-shard run beat the single-loop baseline (%.1f vs %.1f sim/real)",
+	recs, err := bench.Records(points)
+	if err != nil {
+		return nil, err
+	}
+	for i := range recs {
+		recs[i].Workload = "city"
+		recs[i].Params["seed"] = scaleSeed
+	}
+	if bestMulti <= baseline {
+		return recs, fmt.Errorf("no multi-shard run beat the single-loop baseline (%.1f vs %.1f sim/real)",
 			bestMulti, baseline)
 	}
-	if baseline > 0 && bestMulti > 0 {
-		fmt.Printf("multi-shard best %.1f sim/real vs single-loop %.1f (%+.0f%%)\n",
-			bestMulti, baseline, 100*(bestMulti/baseline-1))
-	}
-
-	if path == "" {
-		return nil
-	}
-	var out io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote scale report to %s\n", path)
-	}
-	return nil
+	return recs, nil
 }

@@ -1,91 +1,49 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"time"
+	"strings"
 
+	"repro/internal/bench"
+	"repro/internal/slo"
 	"repro/psd"
 )
 
-// ScenarioReport is one BENCH_scenarios.json entry: the full suite run
-// across every architecture under one label.
-type ScenarioReport struct {
-	Label   string                `json:"label"`
-	Date    string                `json:"date"`
-	Seed    int64                 `json:"seed"`
-	Results []*psd.ScenarioResult `json:"results"`
-}
+// scenarioSeed seeds the scenario traffic generators; every recorded
+// BENCH_scenarios.json entry used it.
+const scenarioSeed = 1
 
-// runScenarios executes every named scenario on every architecture,
-// prints the verdict table (and SLO details for failures), and writes a
-// BENCH_scenarios-style JSON entry to path ("-" for stdout, "" for
-// none). A failed SLO makes the whole run return an error so CI gates
-// on the exit status.
-func runScenarios(path, label string, seed int64) error {
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := ScenarioReport{
-		Label: label,
-		Date:  time.Now().UTC().Format("2006-01-02"),
-		Seed:  seed,
-	}
-
-	fmt.Printf("Scenario suite (seed %d)\n", seed)
-	fmt.Printf("%-14s %-12s %5s %4s %12s %12s %9s %7s %7s  %s\n",
-		"scenario", "arch", "reqs", "errs", "p50", "p99", "conn-p99", "drops", "rexmit", "verdict")
-	failed := 0
+// runScenarios executes every named scenario on every architecture and
+// records each cell with its verdict: passed (0/1) and the number of
+// failed SLO rules. A failed SLO fails the suite, and the error lists
+// the failing rules.
+func runScenarios() ([]bench.Record, error) {
+	var results []*psd.ScenarioResult
 	for _, name := range psd.ScenarioNames() {
-		for _, a := range archFlavors {
+		for _, a := range psd.ArchFlavors() {
 			res, err := psd.RunScenario(psd.ScenarioConfig{
-				Name: name, Seed: seed, Arch: a.New(), ArchName: a.Name,
+				Name: name, Seed: scenarioSeed, Arch: a.New(), ArchName: a.Name,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			rep.Results = append(rep.Results, res)
-			verdict := "pass"
-			if !res.Passed {
-				verdict = "FAIL"
-				failed++
-			}
-			fmt.Printf("%-14s %-12s %5d %4d %12s %12s %9s %7d %7d  %s\n",
-				res.Name, res.Arch, res.Requests, res.Errors,
-				time.Duration(res.ReqP50Ns), time.Duration(res.ReqP99Ns),
-				time.Duration(res.ConnectP99Ns),
-				res.NetDrops+res.RouterDrops, res.TCPRexmits, verdict)
-			if !res.Passed {
-				for _, r := range res.SLO {
-					fmt.Printf("    %s\n", r.String())
-				}
-			}
+			results = append(results, res)
 		}
 	}
-
-	if path != "" {
-		var out io.Writer = os.Stdout
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode([]ScenarioReport{rep}); err != nil {
-			return err
-		}
-		if path != "-" {
-			fmt.Printf("wrote scenario report to %s\n", path)
+	recs, err := bench.Records(results)
+	if err != nil {
+		return nil, err
+	}
+	var failures []string
+	for i, res := range results {
+		failed := slo.Failures(res.SLO)
+		recs[i].Metrics["slo_failed"] = float64(len(failed))
+		if !res.Passed {
+			failures = append(failures, fmt.Sprintf("%s/%s:\n%s", res.Name, res.Arch, slo.Report(failed)))
 		}
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d scenario cell(s) failed their SLOs", failed)
+	if len(failures) > 0 {
+		return recs, fmt.Errorf("%d scenario cell(s) failed their SLOs:\n%s", len(failures), strings.Join(failures, ""))
 	}
-	return nil
+	return recs, nil
 }

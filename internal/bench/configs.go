@@ -122,7 +122,7 @@ func OffloadConfig() SysConfig {
 }
 
 // Columns is the shared architecture registry for the comparison suites
-// (the psdbench default suite, -proxy, -scenarios, -scale): one
+// (the psdbench suites and perfbench): one
 // representative per architecture — in-kernel, server, decomposed
 // library — plus the offload column, in presentation order. Subcommands
 // take their architecture lists from here so a new column appears

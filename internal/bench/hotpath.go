@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 )
@@ -13,8 +11,8 @@ import (
 // is a Table 2/3 workload run end to end; the metrics are the real-world
 // cost of carrying it (ns, bytes allocated, allocations), plus the
 // headline ratio of virtual seconds simulated per real second burned.
-// psdbench -json emits these as BENCH_hotpath.json so each PR leaves a
-// recorded perf trajectory (compare runs with benchstat or by eye).
+// psdbench -suite hotpath appends these to BENCH_hotpath.json, the
+// recorded perf trajectory (compare entries with benchstat or by eye).
 
 // HotpathMetrics is one measured workload.
 type HotpathMetrics struct {
@@ -38,17 +36,6 @@ type HotpathMetrics struct {
 	AllocsPerSegment float64 `json:"allocs_per_segment"`
 }
 
-// HotpathReport is the JSON document psdbench -json writes.
-type HotpathReport struct {
-	Label   string           `json:"label"`
-	Date    string           `json:"date,omitempty"`
-	GoMaxMB int              `json:"-"`
-	Results []HotpathMetrics `json:"results"`
-	// Metrics is the registry digest of the headline configuration:
-	// connect-latency quantiles and drop/retransmit counts per workload.
-	Metrics []WorkloadMetrics `json:"metrics,omitempty"`
-}
-
 // hotpathWorkload is one entry of the suite.
 type hotpathWorkload struct {
 	name string
@@ -65,12 +52,13 @@ func hotpathSuite() []hotpathWorkload {
 
 	ttcp := func(cfg SysConfig) func(int, int) (time.Duration, int, error) {
 		return func(totalBytes, _ int) (time.Duration, int, error) {
-			unhook := setBuildHook(func(w *World) { hookWorld = w })
-			defer unhook()
+			var w *World
+			restore := captureBuild(&w)
 			r := RunTTCP(cfg, cfg.RcvBufKB, totalBytes)
+			restore()
 			segs := 0
-			if hookWorld != nil {
-				segs = int(hookWorld.hostA.NIC.TxFrames.Value())
+			if w != nil {
+				segs = int(w.hostA.NIC.TxFrames.Value())
 			}
 			return r.Duration, segs, r.Err
 		}
@@ -92,29 +80,11 @@ func hotpathSuite() []hotpathWorkload {
 	}
 }
 
-// hookWorld captures the last world a workload built, so the harness can
-// read NIC counters after the run.
-var hookWorld *World
-
-// setBuildHook installs fn as the world build observer (see buildHook in
-// sweep.go), returning a restore function.
-func setBuildHook(fn func(*World)) (unhook func()) {
-	prev := buildHook
-	buildHook = fn
-	return func() { buildHook = prev; hookWorld = nil }
-}
-
-// RunHotpath measures the wall-clock hot path of the Table 2/3 workloads.
-// totalBytes sizes the throughput transfers (0 means 4 MB, enough to hit
-// steady state without taking minutes); rounds sizes the latency runs (0
-// means 100).
-func RunHotpath(totalBytes, rounds int) ([]HotpathMetrics, error) {
-	if totalBytes == 0 {
-		totalBytes = 4 << 20
-	}
-	if rounds == 0 {
-		rounds = 100
-	}
+// RunHotpath measures the wall-clock hot path of the Table 2/3 workloads:
+// 4 MB throughput transfers (enough to hit steady state without taking
+// minutes) and 100-round latency runs.
+func RunHotpath() ([]HotpathMetrics, error) {
+	const totalBytes, rounds = 4 << 20, 100
 	var out []HotpathMetrics
 	for _, wl := range hotpathSuite() {
 		var virt time.Duration
@@ -149,11 +119,4 @@ func RunHotpath(totalBytes, rounds int) ([]HotpathMetrics, error) {
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-// WriteHotpathJSON writes a report as indented JSON.
-func WriteHotpathJSON(w io.Writer, rep HotpathReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

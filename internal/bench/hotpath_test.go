@@ -22,8 +22,9 @@ func TestSteadyStateTCPAllocBudget(t *testing.T) {
 		t.Skip("alloc accounting run skipped in -short")
 	}
 	cfg := DECConfigs()[5] // Library-SHM-IPF
-	unhook := setBuildHook(func(w *World) { hookWorld = w })
-	defer unhook()
+	var w *World
+	restore := captureBuild(&w)
+	defer restore()
 
 	segs := 0
 	run := func() {
@@ -31,8 +32,8 @@ func TestSteadyStateTCPAllocBudget(t *testing.T) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if hookWorld != nil && hookWorld.hostA.NIC.TxFrames.Value() > 0 {
-			segs = int(hookWorld.hostA.NIC.TxFrames.Value())
+		if w != nil && w.hostA.NIC.TxFrames.Value() > 0 {
+			segs = int(w.hostA.NIC.TxFrames.Value())
 		}
 	}
 	run() // warm the global buffer pools

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/sim"
@@ -37,8 +35,8 @@ var OffloadLoadPointsMbps = []float64{2, 5, 9}
 // connection setup.
 const offloadSteadyBytes = 384 << 10
 
-// OffloadCell is one (configuration, workload) measurement row of
-// BENCH_offload.json.
+// OffloadCell is one (configuration, workload) measurement, one record
+// of BENCH_offload.json.
 type OffloadCell struct {
 	Config      string  `json:"config"`
 	Workload    string  `json:"workload"`
@@ -70,21 +68,6 @@ type OffloadCell struct {
 
 	// Churn cells only.
 	Conns int64 `json:"conns,omitempty"`
-}
-
-// OffloadReport is the JSON document psdbench -offload writes
-// (BENCH_offload.json holds one entry per recorded run).
-type OffloadReport struct {
-	Label   string        `json:"label"`
-	Date    string        `json:"date,omitempty"`
-	Results []OffloadCell `json:"results"`
-}
-
-// WriteOffloadJSON writes a report as indented JSON.
-func WriteOffloadJSON(w io.Writer, rep OffloadReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // RunOffloadSuite measures every cell: tcp-steady on each Columns()

@@ -80,8 +80,9 @@ func TestTSOAllocBudget(t *testing.T) {
 		t.Skip("alloc accounting run skipped in -short")
 	}
 	cfg := OffloadConfig()
-	unhook := setBuildHook(func(w *World) { hookWorld = w })
-	defer unhook()
+	var w *World
+	restore := captureBuild(&w)
+	defer restore()
 
 	segs := 0
 	run := func() {
@@ -89,8 +90,8 @@ func TestTSOAllocBudget(t *testing.T) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if hookWorld != nil && hookWorld.hostA.NIC.TxFrames.Value() > 0 {
-			segs = int(hookWorld.hostA.NIC.TxFrames.Value())
+		if w != nil && w.hostA.NIC.TxFrames.Value() > 0 {
+			segs = int(w.hostA.NIC.TxFrames.Value())
 		}
 	}
 	run() // warm the global buffer pools

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -287,7 +285,7 @@ func hostSum(w *World, prefix, suffix string) int64 {
 	return total
 }
 
-// ProxyMetrics is one row of BENCH_proxy.json: a (configuration,
+// ProxyMetrics is one record of BENCH_proxy.json: a (configuration,
 // forwarding mode) cell with throughput, copy accounting, and the Go
 // allocator's cost of carrying the run.
 type ProxyMetrics struct {
@@ -304,13 +302,6 @@ type ProxyMetrics struct {
 	BytesPerOp       int64   `json:"bytes_per_op"`
 	AllocsPerOp      int64   `json:"allocs_per_op"`
 	AllocsPerSegment float64 `json:"allocs_per_segment"`
-}
-
-// ProxyReport is the JSON document psdbench -proxy writes.
-type ProxyReport struct {
-	Label   string         `json:"label"`
-	Date    string         `json:"date,omitempty"`
-	Results []ProxyMetrics `json:"results"`
 }
 
 // proxyConfigs returns the architectures the proxy comparison runs
@@ -362,11 +353,4 @@ func RunProxySuite(totalBytes int) ([]ProxyMetrics, error) {
 		}
 	}
 	return out, nil
-}
-
-// WriteProxyJSON writes a report as indented JSON.
-func WriteProxyJSON(w io.Writer, rep ProxyReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -336,6 +336,9 @@ func parse(frame []byte) (p parsedFrame, ok bool) {
 		p.payAt = p.tpAt + thl
 		return p, true
 	case wire.ProtoUDP:
+		if int(ip.TotalLen) < hlen+wire.UDPHeaderLen {
+			return p, false
+		}
 		p.payAt = p.tpAt + wire.UDPHeaderLen
 		return p, true
 	}
