@@ -16,6 +16,15 @@ type tuple struct {
 	Proto            uint8
 }
 
+// tupleOf returns a parsed frame's 5-tuple.
+func tupleOf(m *wire.Meta) tuple {
+	t := tuple{Src: m.IP.Src, Dst: m.IP.Dst, SrcPort: m.UDP.SrcPort, DstPort: m.UDP.DstPort, Proto: m.IP.Proto}
+	if t.Proto == wire.ProtoTCP {
+		t.SrcPort, t.DstPort = m.TCP.SrcPort, m.TCP.DstPort
+	}
+	return t
+}
+
 func (t tuple) String() string {
 	return fmt.Sprintf("%s %v:%d->%v:%d", wire.ProtoName(t.Proto), t.Src, t.SrcPort, t.Dst, t.DstPort)
 }

@@ -470,21 +470,22 @@ func (p *Plane) Ingress(frame []byte) ([]byte, filter.Verdict) {
 		return p.arpIngress(frame)
 	}
 
-	pf, ok := parseFrame(frame)
+	m, ok := wire.ParseMeta(frame)
 	if !ok {
 		return nil, filter.VerdictPass
 	}
+	t := tupleOf(&m)
 
-	if e, hit := p.ct[pf.t]; hit {
-		return p.conntracked(frame, pf, e)
+	if e, hit := p.ct[t]; hit {
+		return p.conntracked(frame, &m, e)
 	}
 
-	key := vipKey{ip: pf.t.Dst, port: pf.t.DstPort}
+	key := vipKey{ip: t.Dst, port: t.DstPort}
 	if v, isVIP := p.vips[key]; isVIP {
-		return p.admitVIP(frame, pf, v)
+		return p.admitVIP(frame, &m, t, v)
 	}
 	if r, isRedir := p.redirects[key]; isRedir {
-		return p.admitRedirect(frame, pf, r)
+		return p.admitRedirect(frame, &m, t, r)
 	}
 	return nil, filter.VerdictPass
 }
@@ -496,18 +497,18 @@ func (p *Plane) Egress(frame []byte) ([]byte, filter.Verdict) {
 	if len(p.redirects) == 0 {
 		return nil, filter.VerdictPass
 	}
-	pf, ok := parseFrame(frame)
+	m, ok := wire.ParseMeta(frame)
 	if !ok {
 		return nil, filter.VerdictPass
 	}
-	e, hit := p.ct[pf.t]
+	e, hit := p.ct[tupleOf(&m)]
 	if !hit || e.dir != 1 || !e.f.rev.rewrite {
 		return nil, filter.VerdictPass
 	}
 	f := e.f
 	f.lastSeen = p.cfg.Sim.Now()
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, 1, pf.flags)
+	if m.IP.Proto == wire.ProtoTCP {
+		p.updateTCP(f, 1, m.TCP.Flags)
 		f.sawReply = true
 	}
 	if !p.applyXlate(frame, &f.rev) {
@@ -519,16 +520,16 @@ func (p *Plane) Egress(frame []byte) ([]byte, filter.Verdict) {
 }
 
 // conntracked handles a frame whose tuple is already tracked.
-func (p *Plane) conntracked(frame []byte, pf parsed, e ctEntry) ([]byte, filter.Verdict) {
+func (p *Plane) conntracked(frame []byte, m *wire.Meta, e ctEntry) ([]byte, filter.Verdict) {
 	f := e.f
 	f.lastSeen = p.cfg.Sim.Now()
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, e.dir, pf.flags)
+	if m.IP.Proto == wire.ProtoTCP {
+		p.updateTCP(f, e.dir, m.TCP.Flags)
 		if e.dir == 0 {
-			if pf.flags&wire.TCPAck != 0 {
-				f.clientAck = pf.ack
+			if m.TCP.Flags&wire.TCPAck != 0 {
+				f.clientAck = m.TCP.Ack
 			}
-			if end := pf.seq + uint32(pf.payLen); int32(end-f.clientEndSeq) > 0 {
+			if end := m.TCP.Seq + uint32(m.PayloadLen()); int32(end-f.clientEndSeq) > 0 {
 				f.clientEndSeq = end
 			}
 		} else {
@@ -568,15 +569,15 @@ func (p *Plane) conntracked(frame []byte, pf parsed, e ctEntry) ([]byte, filter.
 // admitVIP begins tracking a new connection to a virtual service: pick
 // a backend by consistent hash, allocate a SNAT port, install both
 // directions in conntrack, and forward the (rewritten) first frame.
-func (p *Plane) admitVIP(frame []byte, pf parsed, v *VIP) ([]byte, filter.Verdict) {
-	if pf.proto == wire.ProtoTCP && pf.flags&wire.TCPSyn == 0 {
+func (p *Plane) admitVIP(frame []byte, m *wire.Meta, t tuple, v *VIP) ([]byte, filter.Verdict) {
+	if t.Proto == wire.ProtoTCP && m.TCP.Flags&wire.TCPSyn == 0 {
 		// Mid-stream segment with no flow: a connection we already
 		// terminated (or never admitted). Not ours to deliver.
 		p.Stats.CTInvalid.Inc()
 		p.Stats.Drops.Inc()
 		return nil, filter.VerdictDrop
 	}
-	bi := v.pick(pf.t)
+	bi := v.pick(t)
 	if bi < 0 {
 		p.Stats.LBRefused.Inc()
 		p.Stats.Drops.Inc()
@@ -594,11 +595,11 @@ func (p *Plane) admitVIP(frame []byte, pf parsed, v *VIP) ([]byte, filter.Verdic
 	p.nextFlowID++
 	f := &flow{
 		id:        p.nextFlowID,
-		orig:      pf.t,
-		reply:     tuple{Src: b.IP, Dst: p.cfg.LocalIP, SrcPort: b.Port, DstPort: snat, Proto: pf.proto},
+		orig:      t,
+		reply:     tuple{Src: b.IP, Dst: p.cfg.LocalIP, SrcPort: b.Port, DstPort: snat, Proto: t.Proto},
 		created:   now,
 		lastSeen:  now,
-		clientMAC: pf.srcMAC,
+		clientMAC: m.Eth.Src,
 		backend:   bi,
 		vip:       v,
 		snat:      snat,
@@ -610,15 +611,15 @@ func (p *Plane) admitVIP(frame []byte, pf parsed, v *VIP) ([]byte, filter.Verdic
 	}
 	f.rev = xlate{
 		srcIP: v.IP, srcPort: v.Port,
-		dstIP: pf.t.Src, dstPort: pf.t.SrcPort,
-		dstMAC: pf.srcMAC, hairpin: true, rewrite: true,
+		dstIP: t.Src, dstPort: t.SrcPort,
+		dstMAC: m.Eth.Src, hairpin: true, rewrite: true,
 	}
-	if pf.proto == wire.ProtoTCP {
-		f.clientEndSeq = pf.seq + uint32(pf.payLen) + 1 // +1 for the SYN
+	if t.Proto == wire.ProtoTCP {
+		f.clientEndSeq = m.TCP.Seq + uint32(m.PayloadLen()) + 1 // +1 for the SYN
 	}
 	p.insertFlow(f)
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, 0, pf.flags)
+	if t.Proto == wire.ProtoTCP {
+		p.updateTCP(f, 0, m.TCP.Flags)
 	}
 	p.Stats.LBConns.Inc()
 
@@ -636,8 +637,8 @@ func (p *Plane) admitVIP(frame []byte, pf parsed, v *VIP) ([]byte, filter.Verdic
 // admitRedirect begins tracking a DNAT-to-local connection: the frame
 // is rewritten toward the host's own stack and delivered normally;
 // the reply direction is handled by Egress.
-func (p *Plane) admitRedirect(frame []byte, pf parsed, r redirect) ([]byte, filter.Verdict) {
-	if pf.proto == wire.ProtoTCP && pf.flags&wire.TCPSyn == 0 {
+func (p *Plane) admitRedirect(frame []byte, m *wire.Meta, t tuple, r redirect) ([]byte, filter.Verdict) {
+	if t.Proto == wire.ProtoTCP && m.TCP.Flags&wire.TCPSyn == 0 {
 		p.Stats.CTInvalid.Inc()
 		p.Stats.Drops.Inc()
 		return nil, filter.VerdictDrop
@@ -646,30 +647,30 @@ func (p *Plane) admitRedirect(frame []byte, pf parsed, r redirect) ([]byte, filt
 	p.nextFlowID++
 	f := &flow{
 		id:   p.nextFlowID,
-		orig: pf.t,
+		orig: t,
 		// The reply key is the egress-side tuple: local stack -> client.
-		reply:     tuple{Src: p.cfg.LocalIP, Dst: pf.t.Src, SrcPort: r.localPort, DstPort: pf.t.SrcPort, Proto: pf.proto},
+		reply:     tuple{Src: p.cfg.LocalIP, Dst: t.Src, SrcPort: r.localPort, DstPort: t.SrcPort, Proto: t.Proto},
 		created:   now,
 		lastSeen:  now,
-		clientMAC: pf.srcMAC,
+		clientMAC: m.Eth.Src,
 		backend:   -1,
 	}
 	f.fwd = xlate{
-		srcIP: pf.t.Src, srcPort: pf.t.SrcPort,
+		srcIP: t.Src, srcPort: t.SrcPort,
 		dstIP: p.cfg.LocalIP, dstPort: r.localPort,
 		dstMAC: p.cfg.LocalMAC, rewrite: true,
 	}
 	f.rev = xlate{
-		srcIP: pf.t.Dst, srcPort: pf.t.DstPort, // the VIP identity
-		dstIP: pf.t.Src, dstPort: pf.t.SrcPort,
-		dstMAC: pf.srcMAC, rewrite: true,
+		srcIP: t.Dst, srcPort: t.DstPort, // the VIP identity
+		dstIP: t.Src, dstPort: t.SrcPort,
+		dstMAC: m.Eth.Src, rewrite: true,
 	}
-	if pf.proto == wire.ProtoTCP {
-		f.clientEndSeq = pf.seq + uint32(pf.payLen) + 1
+	if t.Proto == wire.ProtoTCP {
+		f.clientEndSeq = m.TCP.Seq + uint32(m.PayloadLen()) + 1
 	}
 	p.insertFlow(f)
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, 0, pf.flags)
+	if t.Proto == wire.ProtoTCP {
+		p.updateTCP(f, 0, m.TCP.Flags)
 	}
 
 	out := append([]byte(nil), frame...)

@@ -6,92 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Fixed offsets within the frames the plane rewrites (Ethernet II, IPv4
-// with IHL=5 — parseFrame rejects anything else).
-const (
-	ipAt = wire.EthHeaderLen
-	tpAt = wire.EthHeaderLen + wire.IPv4HeaderLen
-)
-
-// parsed is the plane's minimal view of a TCP/UDP frame.
-type parsed struct {
-	proto  uint8
-	t      tuple
-	flags  uint8 // TCP flags (0 for UDP)
-	seq    uint32
-	ack    uint32
-	payLen int // transport payload length
-	srcMAC wire.MAC
-}
-
-// parseFrame extracts the 5-tuple of an unfragmented IPv4 TCP/UDP frame.
-// ok is false for everything else — those frames are not the plane's
-// business and pass through untouched.
-func parseFrame(frame []byte) (p parsed, ok bool) {
-	if len(frame) < tpAt+wire.UDPHeaderLen {
-		return p, false
-	}
-	if binary.BigEndian.Uint16(frame[12:14]) != wire.EtherTypeIPv4 {
-		return p, false
-	}
-	ip := frame[ipAt:]
-	if ip[0] != 0x45 {
-		return p, false
-	}
-	if fo := binary.BigEndian.Uint16(ip[6:8]); fo&(wire.IPFlagMF|wire.IPOffMask) != 0 {
-		return p, false // fragments take the slow path whole
-	}
-	p.proto = ip[9]
-	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
-	if totalLen < wire.IPv4HeaderLen || totalLen > len(frame)-ipAt {
-		return p, false
-	}
-	copy(p.t.Src[:], ip[12:16])
-	copy(p.t.Dst[:], ip[16:20])
-	// The transport header and payload end where the datagram does, not
-	// where the frame does (Ethernet pads short frames).
-	tp := ip[wire.IPv4HeaderLen:totalLen]
-	switch p.proto {
-	case wire.ProtoTCP:
-		if len(tp) < wire.TCPHeaderLen {
-			return p, false
-		}
-		p.t.SrcPort = binary.BigEndian.Uint16(tp[0:2])
-		p.t.DstPort = binary.BigEndian.Uint16(tp[2:4])
-		p.seq = binary.BigEndian.Uint32(tp[4:8])
-		p.ack = binary.BigEndian.Uint32(tp[8:12])
-		p.flags = tp[13]
-		hl := int(tp[12]>>4) * 4
-		if hl < wire.TCPHeaderLen || hl > len(tp) {
-			return p, false
-		}
-		// Options are rare (SYNs carry MSS); the stack's parser vets
-		// them, so a segment every stack would drop never enters the
-		// tables.
-		if hl > wire.TCPHeaderLen {
-			if _, _, err := wire.UnmarshalTCP(tp[:hl]); err != nil {
-				return p, false
-			}
-		}
-		p.payLen = len(tp) - hl
-	case wire.ProtoUDP:
-		if len(tp) < wire.UDPHeaderLen {
-			return p, false
-		}
-		p.t.SrcPort = binary.BigEndian.Uint16(tp[0:2])
-		p.t.DstPort = binary.BigEndian.Uint16(tp[2:4])
-		ulen := int(binary.BigEndian.Uint16(tp[4:6]))
-		if ulen < wire.UDPHeaderLen || ulen > len(tp) {
-			return p, false
-		}
-		p.payLen = ulen - wire.UDPHeaderLen
-	default:
-		return p, false
-	}
-	p.t.Proto = p.proto
-	copy(p.srcMAC[:], frame[6:12])
-	return p, true
-}
+// ipAt is the IPv4 header's offset. The plane rewrites only frames
+// wire.ParseMeta accepts, whose IPv4 header is exactly 20 bytes, so the
+// transport header sits at wire.TransportAt.
+const ipAt = wire.EthHeaderLen
 
 // applyXlate rewrites frame in place per x: Ethernet addresses, IP
 // addresses, transport ports, and a TTL decrement, with every checksum
@@ -150,12 +68,12 @@ func (p *Plane) applyXlate(frame []byte, x *xlate) bool {
 
 // buildRST assembles a checksummed RST segment from scratch.
 func (p *Plane) buildRST(dstMAC wire.MAC, src, dst wire.IPAddr, sport, dport uint16, seq, ack uint32, flags uint8) []byte {
-	frame := make([]byte, tpAt+wire.TCPHeaderLen)
+	frame := make([]byte, wire.TransportAt+wire.TCPHeaderLen)
 	eh := wire.EthHeader{Dst: dstMAC, Src: p.cfg.LocalMAC, Type: wire.EtherTypeIPv4}
 	eh.Marshal(frame)
 
 	th := wire.TCPHeader{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags}
-	tb := frame[tpAt:]
+	tb := frame[wire.TransportAt:]
 	th.Marshal(tb)
 	ck := wire.TCPChecksum(src, dst, tb)
 	binary.BigEndian.PutUint16(tb[wire.TCPChecksumOffset:], ck)
@@ -167,7 +85,7 @@ func (p *Plane) buildRST(dstMAC wire.MAC, src, dst wire.IPAddr, sport, dport uin
 		Src:      src,
 		Dst:      dst,
 	}
-	ih.Marshal(frame[ipAt:tpAt])
+	ih.Marshal(frame[ipAt:wire.TransportAt])
 	return frame
 }
 

@@ -102,9 +102,10 @@ func Compile(m MatchSpec) Program {
 	return p
 }
 
-// Matches is a direct (non-VM) evaluation of the spec against a frame,
-// used as a reference implementation in tests and by the in-kernel and
-// server baselines, which demultiplex without a filter VM.
+// Matches is a direct (non-VM) evaluation of the spec against a frame:
+// the reference the VM's tests compare compiled programs against. The
+// in-kernel and server baselines do not call it; they install
+// kern.CatchAllProgram.
 func (m MatchSpec) Matches(frame []byte) bool {
 	eh, err := wire.UnmarshalEth(frame)
 	if err != nil || eh.Type != wire.EtherTypeIPv4 {

@@ -182,18 +182,22 @@ type flowKey struct {
 	sport, dport uint16
 }
 
+// mergeHdrLen is the header length of every merged frame: only TCP
+// segments without options merge.
+const mergeHdrLen = wire.TransportAt + wire.TCPHeaderLen
+
 // mergeBuf is one in-progress LRO super-segment.
 type mergeBuf struct {
 	key       flowKey
-	buf       []byte   // frame under construction: headers of the first frame + concatenated payloads
-	hlen      int      // TCP header length within the frame
-	count     int      // wire frames merged
-	nextSeq   uint32   // expected sequence of the next mergeable frame
-	lastAck   uint32   // latest cumulative ACK seen (patched in at flush)
-	lastWin   uint16   // latest advertised window
-	psh       bool     // a merged frame carried PSH (set on the super-segment)
-	lastTouch sim.Time // arrival time of the newest merged frame (hold timer base)
-	gen       int      // guards the hold timer against early flushes
+	ip        wire.IPv4Header // the first frame's IP header, re-marshalled at flush
+	buf       []byte          // frame under construction: headers of the first frame + concatenated payloads
+	count     int             // wire frames merged
+	nextSeq   uint32          // expected sequence of the next mergeable frame
+	lastAck   uint32          // latest cumulative ACK seen (patched in at flush)
+	lastWin   uint16          // latest advertised window
+	psh       bool            // a merged frame carried PSH (set on the super-segment)
+	lastTouch sim.Time        // arrival time of the newest merged frame (hold timer base)
+	gen       int             // guards the hold timer against early flushes
 }
 
 // New attaches an engine. The caller re-points the NIC's Rx at
@@ -298,70 +302,23 @@ func (e *Engine) at(t sim.Time, fn func()) {
 
 // --- Transmit path -----------------------------------------------------
 
-// parsedFrame is the engine's view of an IPv4 transport frame.
-type parsedFrame struct {
-	ip      wire.IPv4Header
-	ipHdrAt int // offset of the IP header (== wire.EthHeaderLen)
-	tpAt    int // offset of the transport header
-	tcp     wire.TCPHeader
-	tcpHLen int
-	payAt   int // offset of the transport payload (TCP) / datagram body (UDP)
-}
-
-// parse extracts the headers the engine cares about. ok is false for
-// anything that is not plain unfragmented IPv4 TCP/UDP — those frames
-// pass through the engine untouched.
-func parse(frame []byte) (p parsedFrame, ok bool) {
-	eh, err := wire.UnmarshalEth(frame)
-	if err != nil || eh.Type != wire.EtherTypeIPv4 {
-		return p, false
-	}
-	ip, hlen, err := wire.UnmarshalIPv4(frame[wire.EthHeaderLen:])
-	if err != nil || ip.IsFragment() {
-		return p, false
-	}
-	if int(ip.TotalLen) > len(frame)-wire.EthHeaderLen {
-		return p, false
-	}
-	p.ip = ip
-	p.ipHdrAt = wire.EthHeaderLen
-	p.tpAt = wire.EthHeaderLen + hlen
-	switch ip.Proto {
-	case wire.ProtoTCP:
-		th, thl, err := wire.UnmarshalTCP(frame[p.tpAt : wire.EthHeaderLen+int(ip.TotalLen)])
-		if err != nil {
-			return p, false
-		}
-		p.tcp, p.tcpHLen = th, thl
-		p.payAt = p.tpAt + thl
-		return p, true
-	case wire.ProtoUDP:
-		if int(ip.TotalLen) < hlen+wire.UDPHeaderLen {
-			return p, false
-		}
-		p.payAt = p.tpAt + wire.UDPHeaderLen
-		return p, true
-	}
-	return p, false
-}
-
 // Transmit is the engine's frame entry point on the send side. Frames
 // at or under the MTU get their transport checksum computed here (the
 // stack skipped its software pass); oversized TCP frames are TSO
 // super-segments and are sliced into MSS-sized wire frames.
 func (e *Engine) Transmit(frame []byte) error {
-	p, ok := parse(frame)
+	m, ok := wire.ParseMeta(frame)
 	if !ok {
 		e.Stats.TxPass.Inc()
 		return e.cfg.NIC.Transmit(frame)
 	}
-	segLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.tpAt
+	segLen := m.End - wire.TransportAt
 
 	if len(frame) <= wire.EthHeaderLen+wire.EthMTU {
 		// Plain frame. The stack skipped its software checksum pass, so
 		// the checksum must be computed here either way; a full FIFO only
 		// moves the charge onto the host CPU.
-		e.patchTransportChecksum(frame, p)
+		e.patchTransportChecksum(frame, &m)
 		e.Stats.TxPass.Inc()
 		if e.txFull() {
 			e.Stats.TxOverflow.Inc()
@@ -377,7 +334,7 @@ func (e *Engine) Transmit(frame []byte) error {
 		return nil
 	}
 
-	if p.ip.Proto != wire.ProtoTCP {
+	if m.IP.Proto != wire.ProtoTCP {
 		// Only TCP is segmented; an oversized UDP frame would be a stack
 		// bug (ipOutput still fragments UDP).
 		return e.cfg.NIC.Transmit(frame)
@@ -385,7 +342,7 @@ func (e *Engine) Transmit(frame []byte) error {
 
 	// TSO: slice the super-segment into MSS-sized wire frames.
 	e.Stats.TSOSuper.Inc()
-	slices := e.sliceSuper(frame, p)
+	slices := e.sliceSuper(frame, &m)
 
 	if e.txFull() {
 		// FIFO full: software GSO. The host does the slicing and the
@@ -394,7 +351,7 @@ func (e *Engine) Transmit(frame []byte) error {
 		e.Stats.TxOverflow.Inc()
 		var d time.Duration
 		for _, s := range slices {
-			segBytes := len(s) - p.tpAt
+			segBytes := len(s) - wire.TransportAt
 			e.Stats.SwSlices.Inc()
 			e.Stats.SwCsumFrames.Inc()
 			e.Stats.SwCsumBytes.Add(uint64(segBytes))
@@ -408,14 +365,13 @@ func (e *Engine) Transmit(frame []byte) error {
 		return nil
 	}
 
-	payLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.payAt
-	d := e.cfg.Costs.TxSetup.At(payLen)
+	d := e.cfg.Costs.TxSetup.At(m.PayloadLen())
 	for _, s := range slices {
-		take := len(s) - p.payAt
+		take := len(s) - m.PayloadAt()
 		e.Stats.TSOSlices.Inc()
 		e.Stats.TxCsumFrames.Inc()
-		e.Stats.TxCsumBytes.Add(uint64(p.tcpHLen + take))
-		d += e.cfg.Costs.TxSegment.At(take) + e.cfg.Costs.Checksum.At(p.tcpHLen+take)
+		e.Stats.TxCsumBytes.Add(uint64(m.TpHdrLen + take))
+		d += e.cfg.Costs.TxSegment.At(take) + e.cfg.Costs.Checksum.At(m.TpHdrLen+take)
 		done := e.chargeTx(d)
 		d = 0
 		e.transmitAt(done, s)
@@ -439,10 +395,10 @@ func (e *Engine) transmitAt(t sim.Time, frame []byte) {
 // slice. Shared by the engine TSO path and the software GSO fallback —
 // the bytes on the wire are identical either way, only who is charged
 // for producing them differs.
-func (e *Engine) sliceSuper(frame []byte, p parsedFrame) [][]byte {
-	payload := frame[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+func (e *Engine) sliceSuper(frame []byte, m *wire.Meta) [][]byte {
+	payload := frame[m.PayloadAt():m.End]
 	mss := e.cfg.MSS
-	hdrLen := p.payAt // Ethernet + IP + TCP headers, options included
+	hdrLen := m.PayloadAt() // Ethernet + IP + TCP headers, options included
 	var slices [][]byte
 	for off, idx := 0, 0; off < len(payload); idx++ {
 		take := mss
@@ -456,14 +412,15 @@ func (e *Engine) sliceSuper(frame []byte, p parsedFrame) [][]byte {
 		copy(slice[hdrLen:], payload[off:off+take])
 
 		// IP header: new length, per-slice ID, fresh checksum.
-		ih := p.ip
-		ih.TotalLen = uint16(int(p.ip.TotalLen) - len(payload) + take)
-		ih.ID = p.ip.ID + uint16(idx)
-		ih.Marshal(slice[p.ipHdrAt : p.ipHdrAt+wire.IPv4HeaderLen])
+		sm := *m
+		sm.IP.TotalLen = uint16(int(m.IP.TotalLen) - len(payload) + take)
+		sm.IP.ID = m.IP.ID + uint16(idx)
+		sm.IP.Marshal(slice[wire.EthHeaderLen:wire.TransportAt])
+		sm.End = len(slice)
 
 		// TCP header: advance the sequence number.
-		tb := slice[p.tpAt:]
-		seq := p.tcp.Seq + uint32(off)
+		tb := slice[wire.TransportAt:]
+		seq := m.TCP.Seq + uint32(off)
 		tb[4] = byte(seq >> 24)
 		tb[5] = byte(seq >> 16)
 		tb[6] = byte(seq >> 8)
@@ -472,8 +429,7 @@ func (e *Engine) sliceSuper(frame []byte, p parsedFrame) [][]byte {
 			tb[13] &^= wire.TCPFin | wire.TCPPsh
 		}
 
-		sp := parsedFrame{ip: ih, ipHdrAt: p.ipHdrAt, tpAt: p.tpAt, payAt: p.payAt}
-		e.patchTransportChecksum(slice, sp)
+		e.patchTransportChecksum(slice, &sm)
 		slices = append(slices, slice)
 		off += take
 	}
@@ -482,24 +438,18 @@ func (e *Engine) sliceSuper(frame []byte, p parsedFrame) [][]byte {
 
 // patchTransportChecksum zeroes and recomputes the TCP/UDP checksum of
 // a frame in place.
-func (e *Engine) patchTransportChecksum(frame []byte, p parsedFrame) {
-	end := wire.EthHeaderLen + int(p.ip.TotalLen)
-	seg := frame[p.tpAt:end]
-	var ckAt int
-	switch p.ip.Proto {
-	case wire.ProtoTCP:
-		ckAt = wire.TCPChecksumOffset
-	case wire.ProtoUDP:
+func (e *Engine) patchTransportChecksum(frame []byte, m *wire.Meta) {
+	seg := frame[wire.TransportAt:m.End]
+	ckAt := wire.TCPChecksumOffset
+	if m.IP.Proto == wire.ProtoUDP {
 		ckAt = wire.UDPChecksumOffset
-	default:
-		return
 	}
 	seg[ckAt], seg[ckAt+1] = 0, 0
 	var ck wire.Checksummer
-	ck.PseudoHeader(p.ip.Src, p.ip.Dst, p.ip.Proto, uint16(len(seg)))
+	ck.PseudoHeader(m.IP.Src, m.IP.Dst, m.IP.Proto, uint16(len(seg)))
 	ck.Add(seg)
 	sum := ck.Sum()
-	if p.ip.Proto == wire.ProtoUDP && sum == 0 {
+	if m.IP.Proto == wire.ProtoUDP && sum == 0 {
 		sum = 0xffff
 	}
 	seg[ckAt] = byte(sum >> 8)
@@ -515,7 +465,7 @@ func (e *Engine) Rx(f simnet.Frame) {
 	now := e.cfg.Sim.Now()
 	busy := e.observeArrival(now)
 
-	p, ok := parse(f.Data)
+	m, ok := wire.ParseMeta(f.Data)
 	if !ok {
 		// Non-IP (ARP) and ICMP flow straight up; the stack validates
 		// them itself.
@@ -523,8 +473,10 @@ func (e *Engine) Rx(f simnet.Frame) {
 		return
 	}
 
-	segLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.tpAt
-	seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+	seg := f.Data[wire.TransportAt:m.End]
+	segLen := len(seg)
+	isTCP := m.IP.Proto == wire.ProtoTCP
+	key := flowKey{src: m.IP.Src, dst: m.IP.Dst, sport: m.TCP.SrcPort, dport: m.TCP.DstPort}
 
 	if e.rxFull() {
 		// FIFO full: degrade to the software path. The host verifies the
@@ -532,19 +484,12 @@ func (e *Engine) Rx(f simnet.Frame) {
 		// lapses under load — and LRO is skipped for this frame; an open
 		// merge for the flow flushes first so the stream stays in order.
 		e.Stats.RxOverflow.Inc()
-		if p.ip.Proto == wire.ProtoTCP {
-			key := flowKey{src: p.ip.Src, dst: p.ip.Dst, sport: p.tcp.SrcPort, dport: p.tcp.DstPort}
+		if isTCP {
 			if pend := e.pending[key]; pend != nil {
 				e.flush(pend, 0)
 			}
 		}
-		okSum := true
-		switch p.ip.Proto {
-		case wire.ProtoTCP:
-			okSum = wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg)
-		case wire.ProtoUDP:
-			okSum = wire.VerifyUDPChecksum(p.ip.Src, p.ip.Dst, seg)
-		}
+		okSum := verifySegment(&m, seg)
 		e.Stats.SwCsumFrames.Inc()
 		e.Stats.SwCsumBytes.Add(uint64(segLen))
 		e.sw(e.cfg.Costs.SwChecksum.At(segLen), func() {
@@ -563,29 +508,21 @@ func (e *Engine) Rx(f simnet.Frame) {
 	e.Stats.RxCsumFrames.Inc()
 	e.Stats.RxCsumBytes.Add(uint64(segLen))
 	d := e.cfg.Costs.Checksum.At(segLen)
-	okSum := true
-	switch p.ip.Proto {
-	case wire.ProtoTCP:
-		okSum = wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg)
-	case wire.ProtoUDP:
-		okSum = wire.VerifyUDPChecksum(p.ip.Src, p.ip.Dst, seg)
-	}
-	if !okSum {
+	if !verifySegment(&m, seg) {
 		e.Stats.RxCsumBad.Inc()
 		e.chargeRx(d)
 		return
 	}
 
-	if p.ip.Proto != wire.ProtoTCP {
+	if !isTCP {
 		e.deliverAfter(d, f)
 		return
 	}
 
-	key := flowKey{src: p.ip.Src, dst: p.ip.Dst, sport: p.tcp.SrcPort, dport: p.tcp.DstPort}
-	payLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.payAt
+	payLen := m.PayloadLen()
 	mergeable := payLen > 0 &&
-		(p.tcp.Flags == wire.TCPAck || p.tcp.Flags == wire.TCPAck|wire.TCPPsh) &&
-		p.tcpHLen == wire.TCPHeaderLen // no SYN/FIN/RST/URG, no options
+		(m.TCP.Flags == wire.TCPAck || m.TCP.Flags == wire.TCPAck|wire.TCPPsh) &&
+		m.TpHdrLen == wire.TCPHeaderLen // no SYN/FIN/RST/URG, no options
 
 	pend := e.pending[key]
 
@@ -601,10 +538,10 @@ func (e *Engine) Rx(f simnet.Frame) {
 	}
 
 	d += e.cfg.Costs.RxMerge.At(payLen)
-	psh := p.tcp.Flags&wire.TCPPsh != 0
+	psh := m.TCP.Flags&wire.TCPPsh != 0
 
 	if pend != nil {
-		if p.tcp.Seq != pend.nextSeq {
+		if m.TCP.Seq != pend.nextSeq {
 			// Sequence gap (loss or reordering upstream): flush what we
 			// have and deliver the new frame at once, so the stack sees
 			// the gap promptly and dup-ACKs.
@@ -615,22 +552,22 @@ func (e *Engine) Rx(f simnet.Frame) {
 		// In-order continuation: absorb. A merge opens sized to its
 		// first frame; the first continuation that does not fit grows
 		// it once to the most a merge can hold before it flushes.
-		pay := f.Data[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+		pay := f.Data[mergeHdrLen:m.End]
 		if cap(pend.buf)-len(pend.buf) < len(pay) {
-			grown := make([]byte, len(pend.buf), max(p.payAt+e.cfg.MaxCoalesce+e.cfg.MSS, len(pend.buf)+len(pay)))
+			grown := make([]byte, len(pend.buf), max(mergeHdrLen+e.cfg.MaxCoalesce+e.cfg.MSS, len(pend.buf)+len(pay)))
 			copy(grown, pend.buf)
 			pend.buf = grown
 		}
 		pend.buf = append(pend.buf, pay...)
 		pend.count++
 		pend.nextSeq += uint32(payLen)
-		pend.lastAck = p.tcp.Ack
-		pend.lastWin = p.tcp.Window
+		pend.lastAck = m.TCP.Ack
+		pend.lastWin = m.TCP.Window
 		pend.psh = pend.psh || psh
 		pend.lastTouch = now
 		e.Stats.LROMerged.Inc()
 		e.chargeRx(d)
-		if len(pend.buf)-pend.hlen-pend.key.hdrLen() >= e.cfg.MaxCoalesce || (psh && !busy) {
+		if len(pend.buf)-mergeHdrLen >= e.cfg.MaxCoalesce || (psh && !busy) {
 			// Full, or a push while idle: the sender is waiting on this
 			// data, hand it up now. Under load the push merges like any
 			// other byte — that deferral is the interrupt moderation.
@@ -653,12 +590,12 @@ func (e *Engine) Rx(f simnet.Frame) {
 	}
 	*pend = mergeBuf{
 		key:       key,
-		buf:       append([]byte(nil), f.Data[:wire.EthHeaderLen+int(p.ip.TotalLen)]...),
-		hlen:      p.tcpHLen,
+		ip:        m.IP,
+		buf:       append([]byte(nil), f.Data[:m.End]...),
 		count:     1,
-		nextSeq:   p.tcp.Seq + uint32(payLen),
-		lastAck:   p.tcp.Ack,
-		lastWin:   p.tcp.Window,
+		nextSeq:   m.TCP.Seq + uint32(payLen),
+		lastAck:   m.TCP.Ack,
+		lastWin:   m.TCP.Window,
 		psh:       psh,
 		lastTouch: now,
 		gen:       pend.gen,
@@ -674,6 +611,14 @@ func (e *Engine) Rx(f simnet.Frame) {
 		return
 	}
 	e.armHold(pend, e.cfg.Hold)
+}
+
+// verifySegment checks a received segment's transport checksum.
+func verifySegment(m *wire.Meta, seg []byte) bool {
+	if m.IP.Proto == wire.ProtoTCP {
+		return wire.VerifyTCPChecksum(m.IP.Src, m.IP.Dst, seg)
+	}
+	return wire.VerifyUDPChecksum(m.IP.Src, m.IP.Dst, seg)
 }
 
 // armHold schedules the moderation timer: the merge flushes once the
@@ -695,10 +640,6 @@ func (e *Engine) armHold(pend *mergeBuf, wait time.Duration) {
 	})
 }
 
-// hdrLen returns the Ethernet+IP header length preceding the transport
-// header (constant for the frames the engine merges).
-func (flowKey) hdrLen() int { return wire.EthHeaderLen + wire.IPv4HeaderLen }
-
 // flush finalizes a pending merge — patches lengths, ACK, window, and
 // checksums so the super-segment is a well-formed frame — and delivers
 // it. extra is added to the pipeline charge.
@@ -707,20 +648,14 @@ func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	pend.gen++
 
 	frame := pend.buf
-	ipAt := wire.EthHeaderLen
-	tpAt := pend.key.hdrLen()
-	totalLen := len(frame) - wire.EthHeaderLen
 
 	// IP header: merged length, fresh checksum.
-	ih, _, err := wire.UnmarshalIPv4(frame[ipAt:])
-	if err == nil {
-		ih.TotalLen = uint16(totalLen)
-		ih.Marshal(frame[ipAt : ipAt+wire.IPv4HeaderLen])
-	}
+	pend.ip.TotalLen = uint16(len(frame) - wire.EthHeaderLen)
+	pend.ip.Marshal(frame[wire.EthHeaderLen:wire.TransportAt])
 
 	// TCP header: latest cumulative ACK and window, PSH if any merged
 	// frame pushed, fresh checksum.
-	tb := frame[tpAt:]
+	tb := frame[wire.TransportAt:]
 	if pend.psh {
 		tb[13] |= wire.TCPPsh
 	}
@@ -732,14 +667,14 @@ func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	tb[15] = byte(pend.lastWin)
 	tb[wire.TCPChecksumOffset], tb[wire.TCPChecksumOffset+1] = 0, 0
 	var ck wire.Checksummer
-	ck.PseudoHeader(ih.Src, ih.Dst, wire.ProtoTCP, uint16(len(tb)))
+	ck.PseudoHeader(pend.ip.Src, pend.ip.Dst, wire.ProtoTCP, uint16(len(tb)))
 	ck.Add(tb)
 	sum := ck.Sum()
 	tb[wire.TCPChecksumOffset] = byte(sum >> 8)
 	tb[wire.TCPChecksumOffset+1] = byte(sum)
 
 	e.Stats.LROFlushes.Inc()
-	e.Stats.LROBytes.Add(uint64(len(tb) - pend.hlen))
+	e.Stats.LROBytes.Add(uint64(len(frame) - mergeHdrLen))
 	pend.buf = nil
 	e.spare = append(e.spare, pend)
 	e.deliverAfter(extra, simnet.Frame{Data: frame})

@@ -206,12 +206,12 @@ func TestTxFIFOOverflowFallsBackToSoftware(t *testing.T) {
 		t.Fatalf("wire frames = %d, want %d (overflow must never drop)", len(env.got), n)
 	}
 	for i, f := range env.got {
-		p, ok := parse(f.Data)
+		p, ok := wire.ParseMeta(f.Data)
 		if !ok {
 			t.Fatalf("wire frame %d does not parse", i)
 		}
-		seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
-		if !wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg) {
+		seg := f.Data[wire.TransportAt:p.End]
+		if !wire.VerifyTCPChecksum(p.IP.Src, p.IP.Dst, seg) {
 			t.Fatalf("wire frame %d left without a valid checksum", i)
 		}
 	}
@@ -263,19 +263,19 @@ func TestTxFIFOOverflowSoftwareGSO(t *testing.T) {
 	var rebuilt []byte
 	var seqs []uint32
 	for i, f := range env.got {
-		p, ok := parse(f.Data)
+		p, ok := wire.ParseMeta(f.Data)
 		if !ok {
 			t.Fatalf("wire frame %d does not parse", i)
 		}
-		seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
-		if !wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg) {
+		seg := f.Data[wire.TransportAt:p.End]
+		if !wire.VerifyTCPChecksum(p.IP.Src, p.IP.Dst, seg) {
 			t.Fatalf("wire frame %d fails checksum verification", i)
 		}
-		if p.tcp.Seq == 10 {
+		if p.TCP.Seq == 10 {
 			continue
 		}
-		seqs = append(seqs, p.tcp.Seq)
-		rebuilt = append(rebuilt, f.Data[p.payAt:wire.EthHeaderLen+int(p.ip.TotalLen)]...)
+		seqs = append(seqs, p.TCP.Seq)
+		rebuilt = append(rebuilt, f.Data[p.PayloadAt():p.End]...)
 	}
 	if len(seqs) != 4 {
 		t.Fatalf("GSO slices on the wire = %d, want 4", len(seqs))

@@ -93,14 +93,14 @@ func (env *rxEnv) run(t *testing.T) {
 // parseDelivery re-parses a delivered frame.
 func parseDelivery(t *testing.T, d delivery) (wire.IPv4Header, wire.TCPHeader, []byte) {
 	t.Helper()
-	p, ok := parse(d.data)
+	p, ok := wire.ParseMeta(d.data)
 	if !ok {
 		t.Fatalf("delivered frame does not parse")
 	}
-	if !wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, d.data[p.tpAt:wire.EthHeaderLen+int(p.ip.TotalLen)]) {
+	if !wire.VerifyTCPChecksum(p.IP.Src, p.IP.Dst, d.data[wire.TransportAt:p.End]) {
 		t.Fatalf("delivered frame fails TCP checksum verification")
 	}
-	return p.ip, p.tcp, d.data[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+	return p.IP, p.TCP, d.data[p.PayloadAt():p.End]
 }
 
 // TestLROPshIdleDeliversImmediately: a pushed request on an idle flow
@@ -347,34 +347,34 @@ func TestTSOSlicing(t *testing.T) {
 	var rebuilt []byte
 	var firstID uint16
 	for i, f := range got {
-		p, ok := parse(f.Data)
+		p, ok := wire.ParseMeta(f.Data)
 		if !ok {
 			t.Fatalf("slice %d does not parse", i)
 		}
-		seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
-		if !wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg) {
+		seg := f.Data[wire.TransportAt:p.End]
+		if !wire.VerifyTCPChecksum(p.IP.Src, p.IP.Dst, seg) {
 			t.Fatalf("slice %d fails checksum verification", i)
 		}
-		if want := uint32(70000 + i*DefaultMSS); p.tcp.Seq != want {
-			t.Fatalf("slice %d seq = %d, want %d", i, p.tcp.Seq, want)
+		if want := uint32(70000 + i*DefaultMSS); p.TCP.Seq != want {
+			t.Fatalf("slice %d seq = %d, want %d", i, p.TCP.Seq, want)
 		}
 		if i == 0 {
-			firstID = p.ip.ID
-		} else if p.ip.ID != firstID+uint16(i) {
-			t.Fatalf("slice %d IP ID = %d, want %d", i, p.ip.ID, firstID+uint16(i))
+			firstID = p.IP.ID
+		} else if p.IP.ID != firstID+uint16(i) {
+			t.Fatalf("slice %d IP ID = %d, want %d", i, p.IP.ID, firstID+uint16(i))
 		}
 		last := i == len(got)-1
-		if gotFin := p.tcp.Flags&wire.TCPFin != 0; gotFin != last {
+		if gotFin := p.TCP.Flags&wire.TCPFin != 0; gotFin != last {
 			t.Fatalf("slice %d FIN = %v, want %v (FIN rides the last slice only)", i, gotFin, last)
 		}
-		if gotPsh := p.tcp.Flags&wire.TCPPsh != 0; gotPsh != last {
+		if gotPsh := p.TCP.Flags&wire.TCPPsh != 0; gotPsh != last {
 			t.Fatalf("slice %d PSH = %v, want %v", i, gotPsh, last)
 		}
 		wantLen := DefaultMSS
 		if last {
 			wantLen = 500
 		}
-		pay := f.Data[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+		pay := f.Data[p.PayloadAt():p.End]
 		if len(pay) != wantLen {
 			t.Fatalf("slice %d payload = %d bytes, want %d", i, len(pay), wantLen)
 		}
@@ -427,12 +427,12 @@ func TestTransmitChecksumsPlainFrame(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("wire frames = %d, want 1", len(got))
 	}
-	p, ok := parse(got[0].Data)
+	p, ok := wire.ParseMeta(got[0].Data)
 	if !ok {
 		t.Fatalf("frame does not parse")
 	}
-	seg2 := got[0].Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
-	if !wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg2) {
+	seg2 := got[0].Data[wire.TransportAt:p.End]
+	if !wire.VerifyTCPChecksum(p.IP.Src, p.IP.Dst, seg2) {
 		t.Fatalf("engine did not fill in the transport checksum")
 	}
 	if v := e.Stats.TxCsumFrames.Value(); v != 1 {
